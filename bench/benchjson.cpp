@@ -7,10 +7,8 @@
 /// dynamic), a cast-heavy microloop, and a GC pause suite (each program
 /// under the generational collector and its nursery-off stop-the-world
 /// twin) — across cast modes, and emits one JSON document of
-/// median-of-N timings plus the deterministic runtime counters (casts,
-/// chain, compositions, inline-cache hits, allocation bytes/objects,
-/// minor/major collections, promotion volume, remembered-set peak) and
-/// the machine-dependent GC pause times.
+/// median-of-N timings plus the counter table's (support/Counters.def)
+/// Exact and Reported counters, listing the Exact ones under "exact".
 ///
 ///   benchjson [--out FILE]
 ///
@@ -22,7 +20,7 @@
 /// tools/bench_compare.py diffs two of these documents (tolerance-based,
 /// counters exact, pauses reported but never failing) and enforces the
 /// paper's shape invariants; CI runs it against the checked-in
-/// BENCH_PR4.json.
+/// BENCH_PR10.json.
 ///
 //===----------------------------------------------------------------------===//
 #include "bench_programs/Benchmarks.h"
@@ -204,8 +202,38 @@ int main(int argc, char **argv) {
 
   std::map<std::string, int64_t> StwMaxPause;
   std::string Json;
+  // Appends `, "key": value` for a listed counter; an array also emits
+  // its sum under its total key.
+  auto AppendCounter = [&Json](const CounterRef &C) {
+    if (C.Gate == CounterGate::Unlisted)
+      return;
+    if (C.Size && *C.TotalKey)
+      Json += std::string(", \"") + C.TotalKey + "\": " +
+              std::to_string(C.total());
+    Json += std::string(", \"") + C.Key + "\": ";
+    if (!C.Size) {
+      Json += std::to_string(*C.Values);
+      return;
+    }
+    for (unsigned I = 0; I != C.Size; ++I)
+      Json += (I ? ", " : "[") + std::to_string(C.Values[I]);
+    Json += "]";
+  };
+  // The exact counters, listed in the document so bench_compare.py gates
+  // exactly what the table marks Exact.
+  std::string Exact;
+  auto ListExact = [&Exact](const CounterRef &C) {
+    if (C.Gate != CounterGate::Exact)
+      return;
+    for (const char *Key : {C.TotalKey, C.Key})
+      if (*Key)
+        Exact += std::string(Exact.empty() ? "\"" : ", \"") + Key + "\"";
+  };
+  forEachRunCounter(RuntimeStats(), ListExact);
+  forEachGCCounter(RuntimeStats(), ListExact);
   Json += "{\n  \"schema\": \"grift-bench-v1\",\n";
   Json += "  \"repeats\": " + std::to_string(Repeats) + ",\n";
+  Json += "  \"exact\": [" + Exact + "],\n";
   Json += "  \"results\": [\n";
   bool First = true;
 
@@ -250,43 +278,15 @@ int main(int argc, char **argv) {
       Json += "    {\"name\": \"" + S.Name + "\", \"mode\": \"" +
               castModeName(Mode) + "\"";
       Json += ", \"median_ns\": " + std::to_string(median(Nanos));
-      Json += ", \"casts\": " + std::to_string(Last.Stats.CastsApplied);
-      Json += ", \"longest_chain\": " +
-              std::to_string(Last.Stats.LongestProxyChain);
-      Json += ", \"max_ret_casts\": " +
-              std::to_string(Last.Stats.MaxRetCastsPerFrame);
-      Json +=
-          ", \"compositions\": " + std::to_string(Last.Stats.Compositions);
-      Json += ", \"cache_hits\": " + std::to_string(Last.Stats.CacheHits);
-      Json +=
-          ", \"cache_misses\": " + std::to_string(Last.Stats.CacheMisses);
+      // Counter fields come from the table (support/Counters.def): run
+      // counters, the peak heap, then the GC counters. The pause maxima
+      // are median-of-repeats rather than the last run's.
+      RuntimeStats Row = Last.Stats;
+      Row.GCPauseMaxNs = static_cast<uint64_t>(MaxPause);
+      Row.GCMinorPauseMaxNs = static_cast<uint64_t>(MinorMaxPause);
+      forEachRunCounter(Row, AppendCounter);
       Json += ", \"peak_heap\": " + std::to_string(Last.PeakHeapBytes);
-      // Allocator observability: byte/object counters are deterministic
-      // (bench_compare checks them exactly); pause times are wall-clock
-      // and only ever reported.
-      Json += ", \"alloc_bytes\": " + std::to_string(Last.Stats.AllocBytes);
-      Json += ", \"alloc_objects\": " +
-              std::to_string(Last.Stats.allocObjects());
-      Json += ", \"alloc_by_class\": [";
-      for (unsigned C = 0; C != RuntimeStats::NumAllocClasses; ++C)
-        Json += (C ? ", " : "") +
-                std::to_string(Last.Stats.AllocObjectsByClass[C]);
-      Json += "]";
-      Json += ", \"collections\": " + std::to_string(Last.Stats.Collections);
-      Json += ", \"gc_pause_total_ns\": " +
-              std::to_string(Last.Stats.GCPauseTotalNs);
-      Json += ", \"gc_pause_max_ns\": " + std::to_string(MaxPause);
-      // Generational observability: minor-collection count and pause
-      // share, promotion volume, remembered-set peak. Counters are
-      // deterministic; the minor pause max is median-of-repeats.
-      Json += ", \"gc_minor_pauses\": " +
-              std::to_string(Last.Stats.MinorCollections);
-      Json += ", \"gc_minor_pause_max_ns\": " +
-              std::to_string(MinorMaxPause);
-      Json += ", \"gc_promoted_bytes\": " +
-              std::to_string(Last.Stats.PromotedBytes);
-      Json += ", \"remembered_set_peak\": " +
-              std::to_string(Last.Stats.RememberedSetPeak);
+      forEachGCCounter(Row, AppendCounter);
       // The /gen half of a gc/ pair reports its max pause as a
       // percentage of its /stw twin (suite order guarantees the twin
       // ran first); the <=10 SLO on this field is the paper-level

@@ -156,7 +156,7 @@ int main(int argc, char **argv) {
   std::string Json;
   Json += "{\n  \"schema\": \"grift-bench-v1\",\n";
   Json += "  \"repeats\": " + std::to_string(Repeats) + ",\n";
-  Json += "  \"results\": [\n";
+  Json += "  \"exact\": [],\n  \"results\": [\n";
   bool First = true;
 
   store::StoreConfig SC;
@@ -261,10 +261,9 @@ int main(int argc, char **argv) {
     Json += ", \"cold_compile_ns\": " + std::to_string(Cold);
     Json += ", \"warm_load_ns\": " + std::to_string(Warm);
     Json += ", \"warm_over_cold_pct\": " + std::to_string(Pct);
-    Json += ", \"store_hits\": " + std::to_string(SS.Hits);
-    Json += ", \"store_misses\": " + std::to_string(SS.Misses);
-    Json += ", \"store_corrupt\": " + std::to_string(SS.Corrupt);
-    Json += ", \"store_evicted\": " + std::to_string(SS.Evicted);
+#define GRIFT_STORE_COUNTER(Field, Key, Doc)                                   \
+  Json += ", \"store_" Key "\": " + std::to_string(SS.Field);
+#include "support/Counters.def"
     Json += "}";
 
     std::fprintf(stderr, "store/%-12s %-11s cold %8.3f ms  warm %8.3f ms  "

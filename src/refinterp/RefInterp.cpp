@@ -1,6 +1,7 @@
 #include "refinterp/RefInterp.h"
 
 #include "runtime/Blame.h"
+#include "runtime/Value.h"
 #include "support/StringUtil.h"
 #include "types/TypeOps.h"
 
@@ -75,9 +76,10 @@ RVal mkBool(bool B) {
   return V;
 }
 
+/// Ints wrap at the VM's 48-bit fixnum width (Value::wrapFixnum).
 RVal mkInt(int64_t I) {
   RVal V = mk(RV::Kind::Int);
-  V->I = I;
+  V->I = Value::wrapFixnum(I);
   return V;
 }
 
@@ -658,14 +660,16 @@ private:
     for (const NodePtr &Sub : N.Subs)
       Args.push_back(eval(*Sub, E));
     auto AsI = [&](size_t I) { return Args[I]->I; };
+    // Unsigned arithmetic: mkInt wraps the result, never signed overflow.
+    auto AsU = [&](size_t I) { return static_cast<uint64_t>(Args[I]->I); };
     auto AsF = [&](size_t I) { return Args[I]->F; };
     switch (N.Prim) {
     case PrimOp::AddI:
-      return mkInt(AsI(0) + AsI(1));
+      return mkInt(static_cast<int64_t>(AsU(0) + AsU(1)));
     case PrimOp::SubI:
-      return mkInt(AsI(0) - AsI(1));
+      return mkInt(static_cast<int64_t>(AsU(0) - AsU(1)));
     case PrimOp::MulI:
-      return mkInt(AsI(0) * AsI(1));
+      return mkInt(static_cast<int64_t>(AsU(0) * AsU(1)));
     case PrimOp::DivI:
       if (AsI(1) == 0)
         trap("integer division by zero");

@@ -255,7 +255,7 @@ HeapObject *Heap::allocateObject(ObjectKind Kind, uint32_t NumSlots) {
     // retry can never double-count cells an interleaved sweep already
     // returned to a free list.
     if (Collected)
-      ++DoubleCollectionsAvoided;
+      ++Stats.DoubleCollectionsAvoided;
     else
       collect();
     if (heapEstimate() + Bytes > HeapLimit)
@@ -278,7 +278,7 @@ HeapObject *Heap::allocateObject(ObjectKind Kind, uint32_t NumSlots) {
                            "allocator failed for a " + std::to_string(Bytes) +
                                "-byte object"};
     }
-    ++LargeAllocated;
+    ++Stats.AllocObjectsByClass[NumSizeClasses];
   } else if (NurseryBase && NurseryUsed + Bytes <= NurserySize) {
     // Young allocation (slow path: injector attached, or the minor above
     // just made room). Any nonzero nursery fits any small cell.
@@ -287,9 +287,9 @@ HeapObject *Heap::allocateObject(ObjectKind Kind, uint32_t NumSlots) {
     GRIFT_UNPOISON(Object, Bytes);
     NurseryUsed += Bytes;
     ++YoungObjects;
-    ++Classes[classForSlots(NumSlots)].ObjectsAllocated;
+    ++Stats.AllocObjectsByClass[classForSlots(NumSlots)];
     ++LiveObjects;
-    BytesAllocated += Bytes;
+    Stats.AllocBytes += Bytes;
     PeakHeapBytes = std::max(PeakHeapBytes, heapEstimate());
     return initObject(Object, Kind, NumSlots);
   } else {
@@ -305,7 +305,7 @@ HeapObject *Heap::allocateObject(ObjectKind Kind, uint32_t NumSlots) {
                            "allocator failed for a " + std::to_string(Bytes) +
                                "-byte object"};
     }
-    ++Classes[Class].ObjectsAllocated;
+    ++Stats.AllocObjectsByClass[Class];
   }
   assert((reinterpret_cast<uintptr_t>(Memory) & 7) == 0 &&
          "heap objects must be 8-byte aligned");
@@ -315,7 +315,7 @@ HeapObject *Heap::allocateObject(ObjectKind Kind, uint32_t NumSlots) {
     LargeObjects = Object;
   }
   ++LiveObjects;
-  BytesAllocated += Bytes;
+  Stats.AllocBytes += Bytes;
   BytesSinceGC += Bytes;
   PeakHeapBytes = std::max(PeakHeapBytes, heapEstimate());
   return Object;
@@ -406,7 +406,7 @@ HeapObject *Heap::promote(HeapObject *Object) {
   assert(NumSlots <= MaxSmallSlots && "large objects are pre-tenured");
   unsigned Class = classForSlots(NumSlots);
   // Straight to the pools: no injector hook, no threshold check, and no
-  // per-class ObjectsAllocated recount — the object was counted when it
+  // per-class AllocObjectsByClass recount — the object was counted when it
   // was allocated, and the alloc_by_class counters must be identical
   // with the nursery on or off. acquireSmallCell can sweep a pending
   // block mid-promotion; that is safe because sweeps test against
@@ -424,8 +424,8 @@ HeapObject *Heap::promote(HeapObject *Object) {
   Memory->Next = nullptr;
   Object->Flags |= HeapObject::FlagForwarded;
   Object->Next = Memory;
-  ++PromotedObjects;
-  PromotedBytes += Bytes;
+  ++Stats.PromotedObjects;
+  Stats.PromotedBytes += Bytes;
   BytesSinceGC += Bytes; // promotion is old-generation growth
   return Memory;
 }
@@ -461,7 +461,7 @@ bool Heap::minorCollect() {
   InCollection = true;
   auto Start = std::chrono::steady_clock::now();
 
-  uint64_t PromotedBefore = PromotedObjects;
+  uint64_t PromotedBefore = Stats.PromotedObjects;
   for (RootProvider *Provider : RootProviders)
     Provider->visitRoots(
         [](Value &Slot, void *Ctx) {
@@ -478,7 +478,8 @@ bool Heap::minorCollect() {
   // mutator can only store into objects it reaches, and sweeps only free
   // objects that were already dead at the last mark), but skip freed
   // cells defensively — their payload is poisoned.
-  RememberedSetPeak = std::max(RememberedSetPeak, RememberedSet.size());
+  Stats.RememberedSetPeak =
+      std::max<uint64_t>(Stats.RememberedSetPeak, RememberedSet.size());
   for (HeapObject *Owner : RememberedSet) {
     Owner->Flags &= ~HeapObject::FlagInRemembered;
     if (Owner->Flags & HeapObject::FlagFree)
@@ -489,20 +490,14 @@ bool Heap::minorCollect() {
   RememberedSet.clear();
   drainScanStack(&Heap::evacuateSlot);
 
-  uint64_t Promoted = PromotedObjects - PromotedBefore;
+  uint64_t Promoted = Stats.PromotedObjects - PromotedBefore;
   assert(YoungObjects >= Promoted && "promoted more than was allocated");
   LiveObjects -= YoungObjects - static_cast<size_t>(Promoted);
   resetNursery();
-  ++MinorCollections;
+  ++Stats.MinorCollections;
   PeakHeapBytes = std::max(PeakHeapBytes, heapEstimate());
 
-  uint64_t Nanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
-  recordPause(Nanos, GCMinorPauseTotalNs, GCMinorPauseMaxNs, MinorPauseHist);
-  GCPauseTotalNs += Nanos;
-  GCPauseMaxNs = std::max(GCPauseMaxNs, Nanos);
+  recordPause(Start, /*Minor=*/true);
   InCollection = false;
   maybeVerify();
 
@@ -618,7 +613,7 @@ void Heap::collect() {
   BytesSinceGC = 0;
   LiveBytesAtGC = MarkedBytes;
   PeakHeapBytes = std::max(PeakHeapBytes, MarkedBytes);
-  ++Collections;
+  ++Stats.Collections;
   // Grow the threshold with the live set so GC stays amortized-linear —
   // but never past a fraction of the hard heap limit, or maybeCollect
   // would stop firing and every allocation near the limit would take the
@@ -626,26 +621,28 @@ void Heap::collect() {
   GCThreshold = std::max<size_t>(MarkedBytes * 2, 8u << 20);
   clampThresholdToLimit();
 
-  uint64_t Nanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
-  recordPause(Nanos, GCPauseTotalNs, GCPauseMaxNs, MajorPauseHist);
+  recordPause(Start, /*Minor=*/false);
   InCollection = false;
   maybeVerify();
 }
 
-void Heap::recordPause(uint64_t Nanos, uint64_t &TotalNs, uint64_t &MaxNs,
-                       uint64_t *Hist) {
-  TotalNs += Nanos;
-  MaxNs = std::max(MaxNs, Nanos);
-  unsigned Bucket = 0;
-  uint64_t Us = Nanos / 1000;
-  while (Us && Bucket < PauseHistBuckets - 1) {
-    Us >>= 1;
-    ++Bucket;
+void Heap::recordPause(std::chrono::steady_clock::time_point Start,
+                       bool Minor) {
+  uint64_t Nanos = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+  Stats.GCPauseTotalNs += Nanos;
+  Stats.GCPauseMaxNs = std::max(Stats.GCPauseMaxNs, Nanos);
+  if (Minor) {
+    Stats.GCMinorPauseTotalNs += Nanos;
+    Stats.GCMinorPauseMaxNs = std::max(Stats.GCMinorPauseMaxNs, Nanos);
   }
-  ++Hist[Bucket];
+  unsigned Bucket = 0;
+  for (uint64_t Us = Nanos / 1000;
+       Us && Bucket < HeapStats::NumPauseBuckets - 1; Us >>= 1)
+    ++Bucket;
+  ++(Minor ? Stats.MinorPauseHist : Stats.MajorPauseHist)[Bucket];
 }
 
 void Heap::castTortureSlow(Value &Pinned) {

@@ -61,9 +61,11 @@
 #define GRIFT_RUNTIME_HEAP_H
 
 #include "runtime/FaultInjector.h"
+#include "runtime/Stats.h"
 #include "runtime/Value.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -207,10 +209,6 @@ public:
   static constexpr size_t DefaultNurseryBytes = 256u * 1024;
   static constexpr size_t MinNurseryBytes = 4096;
 
-  /// Log2 pause-histogram buckets: bucket 0 is < 1 µs, each next bucket
-  /// doubles, bucket 15 collects everything ≥ 16.4 ms.
-  static constexpr unsigned PauseHistBuckets = 16;
-
   Heap();
   ~Heap();
   Heap(const Heap &) = delete;
@@ -351,27 +349,14 @@ public:
   }
 
   size_t liveObjects() const { return LiveObjects; }
-  size_t bytesAllocated() const { return BytesAllocated; }
-  uint64_t collections() const { return Collections; }
   /// High-water mark of (estimated) live bytes: live-at-last-GC plus
   /// bytes allocated since (old generation + nursery occupancy). This is
   /// the space-efficiency observable — proxy chains show up here.
   size_t peakHeapBytes() const { return PeakHeapBytes; }
 
-  //===--------------------------------------------------------------------===//
-  // Allocation / GC observability (RuntimeStats, benchjson)
-  //===--------------------------------------------------------------------===//
-
-  /// Cumulative objects served from size class \p Class (never reset).
-  /// Nursery allocations count here too — the class of an object is a
-  /// function of its slot count, not of which generation served it, so
-  /// these counters are identical with the nursery on or off.
-  uint64_t objectsAllocatedInClass(unsigned Class) const {
-    assert(Class < NumSizeClasses);
-    return Classes[Class].ObjectsAllocated;
-  }
-  /// Cumulative large (malloc-backed, pre-tenured) objects.
-  uint64_t largeObjectsAllocated() const { return LargeAllocated; }
+  /// The allocation and GC counters (support/Counters.def), cumulative
+  /// over the heap's life.
+  const HeapStats &stats() const { return Stats; }
   /// Pool blocks currently owned across all size classes (boundedness
   /// observable: an allocate–collect loop must hold this steady).
   size_t poolBlocks() const {
@@ -380,23 +365,7 @@ public:
       N += C.Blocks.size();
     return N;
   }
-  uint64_t gcPauseTotalNs() const { return GCPauseTotalNs; }
-  uint64_t gcPauseMaxNs() const { return GCPauseMaxNs; }
-  uint64_t minorCollections() const { return MinorCollections; }
-  uint64_t gcMinorPauseTotalNs() const { return GCMinorPauseTotalNs; }
-  uint64_t gcMinorPauseMaxNs() const { return GCMinorPauseMaxNs; }
-  uint64_t promotedBytes() const { return PromotedBytes; }
-  uint64_t promotedObjects() const { return PromotedObjects; }
-  /// Largest remembered-set population observed at a collection.
-  size_t rememberedSetPeak() const { return RememberedSetPeak; }
   size_t rememberedSetSize() const { return RememberedSet.size(); }
-  const uint64_t *minorPauseHistogram() const { return MinorPauseHist; }
-  const uint64_t *majorPauseHistogram() const { return MajorPauseHist; }
-  /// Back-to-back collect() calls skipped on the heap-limit path because
-  /// nothing was allocated since the threshold-triggered collection.
-  uint64_t doubleCollectionsAvoided() const {
-    return DoubleCollectionsAvoided;
-  }
 
   /// Sets the allocation threshold that triggers collection (tests use a
   /// tiny threshold to stress the collector).
@@ -427,7 +396,6 @@ private:
     HeapObject *FreeList = nullptr;
     std::vector<PoolBlock *> Blocks;
     size_t SweepCursor = 0; ///< first block the lazy sweep has not visited
-    uint64_t ObjectsAllocated = 0;
   };
 
   static constexpr unsigned classForSlots(uint32_t NumSlots) {
@@ -512,9 +480,9 @@ private:
       GRIFT_UNPOISON(Object, Bytes);
       NurseryUsed += Bytes;
       ++YoungObjects;
-      ++C.ObjectsAllocated;
+      ++Stats.AllocObjectsByClass[Class];
       ++LiveObjects;
-      BytesAllocated += Bytes;
+      Stats.AllocBytes += Bytes;
       PeakHeapBytes = std::max(PeakHeapBytes, heapEstimate());
       return initObject(Object, Kind, NumSlots);
     } // NurserySizeCfg
@@ -528,9 +496,9 @@ private:
     C.FreeList = Object->Next;
     GRIFT_UNPOISON(reinterpret_cast<char *>(Object) + sizeof(HeapObject),
                    Bytes - sizeof(HeapObject));
-    ++C.ObjectsAllocated;
+    ++Stats.AllocObjectsByClass[Class];
     ++LiveObjects;
-    BytesAllocated += Bytes;
+    Stats.AllocBytes += Bytes;
     BytesSinceGC += Bytes;
     PeakHeapBytes = std::max(PeakHeapBytes, heapEstimate());
     return initObject(Object, Kind, NumSlots);
@@ -583,8 +551,9 @@ private:
   /// Runs verify() after a collection when torture/ASan/explicit opt-in
   /// demands it; aborts loudly on any violation.
   void maybeVerify();
-  static void recordPause(uint64_t Nanos, uint64_t &TotalNs, uint64_t &MaxNs,
-                          uint64_t *Hist);
+  /// Adds the pause that began at \p Start to the totals, maxima and
+  /// the minor or major histogram.
+  void recordPause(std::chrono::steady_clock::time_point Start, bool Minor);
 
   /// Keeps the amortized-collection threshold meaningful under a hard
   /// heap limit: without this, a limit below the threshold floor means
@@ -612,25 +581,15 @@ private:
   size_t YoungObjects = 0; ///< objects in the nursery right now
 
   size_t LiveObjects = 0;
-  size_t BytesAllocated = 0;
   size_t BytesSinceGC = 0; ///< bytes into the *old* gen since last major
   size_t LiveBytesAtGC = 0;
   size_t PeakHeapBytes = 0;
   size_t GCThreshold = 8u << 20;
   size_t HeapLimit = 0;
   FaultInjector *Injector = nullptr;
-  uint64_t Collections = 0; ///< major collections only
-  uint64_t MinorCollections = 0;
-  uint64_t LargeAllocated = 0;
-  uint64_t GCPauseTotalNs = 0; ///< all pauses, minor + major
-  uint64_t GCPauseMaxNs = 0;
-  uint64_t GCMinorPauseTotalNs = 0;
-  uint64_t GCMinorPauseMaxNs = 0;
-  uint64_t MinorPauseHist[PauseHistBuckets] = {};
-  uint64_t MajorPauseHist[PauseHistBuckets] = {};
-  uint64_t PromotedBytes = 0;
-  uint64_t PromotedObjects = 0;
-  uint64_t DoubleCollectionsAvoided = 0;
+  HeapStats Stats;
+  static_assert(HeapStats::NumAllocClasses == NumSizeClasses + 1,
+                "AllocObjectsByClass[NumSizeClasses] counts large objects");
   uint64_t CastTortureCount = 0;
   /// Current mark epoch (bumped when a mark starts) and the epoch of the
   /// last *completed* mark. An old object is live iff
@@ -647,7 +606,6 @@ private:
   std::vector<Value *> TempRoots;
   std::vector<HeapObject *> MarkStack;
   std::vector<HeapObject *> RememberedSet;
-  size_t RememberedSetPeak = 0;
 };
 
 /// RAII temp root: keeps a Value alive across allocations inside runtime

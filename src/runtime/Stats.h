@@ -3,7 +3,9 @@
 /// \file
 /// Runtime statistics backing the paper's plots: the number of casts
 /// executed and the longest proxy chain traversed (paper Figures 4 and 7),
-/// plus allocation and GC counters.
+/// plus allocation and GC counters. Every counter is declared once, in
+/// support/Counters.def; the structs, benchjson's rows, bench_compare's
+/// exact list and griftc's printers are all generated from that table.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_RUNTIME_STATS_H
@@ -14,74 +16,37 @@
 
 namespace grift {
 
-struct RuntimeStats {
-  /// Runtime casts executed (every cast application: Cast instructions,
-  /// proxy argument/result conversions, reference read/write conversions,
-  /// Dyn elimination-form conversions).
-  uint64_t CastsApplied = 0;
-  /// Coercion compositions performed (coercion mode only).
-  uint64_t Compositions = 0;
-  /// Longest chain of proxies traversed by any single operation.
-  uint64_t LongestProxyChain = 0;
-  /// Largest number of pending return casts carried by any single call
-  /// frame. Coercion-passing style composes them into one explicit
-  /// coercion argument, so it stays ≤ 1; the stacked protocol grows
-  /// Θ(n) over n proxied tail calls (a tail loop driven through a cast
-  /// function reference — each call appends the proxy's result
-  /// coercion to the reused frame).
-  uint64_t MaxRetCastsPerFrame = 0;
-  /// Function/reference proxies allocated.
-  uint64_t ProxiesAllocated = 0;
-  /// Cast-site inline-cache hits: a repeated cast resolved its coercion
-  /// with a pointer compare instead of a MakeCache/ComposeCache hash
-  /// lookup.
-  uint64_t CacheHits = 0;
-  /// Cast-site inline-cache misses (the slow factory path ran and the
-  /// cache was refilled).
-  uint64_t CacheMisses = 0;
-  /// Nanoseconds measured by the innermost (time ...) form, if any.
-  int64_t TimedNanos = -1;
+/// How bench_compare.py treats a counter's benchjson field.
+enum class CounterGate { Exact, Reported, Unlisted };
 
-  //===------------------------------------------------------------------===//
-  // Allocation / GC observability. Copied from the Heap at the end of a
-  // run (VM::run), so a RunResult carries the whole allocation profile.
-  // Byte and object counters are deterministic for a deterministic
-  // program; pause times are machine-dependent (benchjson emits both,
-  // bench_compare.py checks counters exactly and bands the pauses).
-  //===------------------------------------------------------------------===//
+/// One counter table entry as a writer sees it.
+struct CounterRef {
+  const char *Key;
+  const char *TotalKey; ///< arrays: key of the sum ("" = none)
+  CounterGate Gate;
+  const char *Doc;
+  const uint64_t *Values;
+  unsigned Size; ///< element count; 0 for a scalar
 
-  /// Size classes (same table as Heap::ClassCellSizes) plus one trailing
-  /// bucket for large malloc-backed objects.
+  uint64_t total() const {
+    uint64_t Sum = 0;
+    for (unsigned I = 0; I != std::max(Size, 1u); ++I)
+      Sum += Values[I];
+    return Sum;
+  }
+};
+
+/// The Heap's counters. The Heap owns one and bumps it in place; a run's
+/// RuntimeStats receives it whole at the end of the run (VM::run).
+struct HeapStats {
+  /// Heap::ClassCellSizes plus one trailing bucket for large objects.
   static constexpr unsigned NumAllocClasses = 8;
-  /// Total bytes allocated (size-class cell bytes + exact large sizes).
-  uint64_t AllocBytes = 0;
-  /// Objects allocated per size class; index NumAllocClasses-1 counts
-  /// large objects.
-  uint64_t AllocObjectsByClass[NumAllocClasses] = {};
-  /// Major (full) collections performed during the run.
-  uint64_t Collections = 0;
-  /// Total / worst-case GC pause across *all* pauses, minor and major
-  /// (mark/evacuation + eager large sweep; incremental block sweeping is
-  /// mutator time and deliberately not counted).
-  uint64_t GCPauseTotalNs = 0;
-  uint64_t GCPauseMaxNs = 0;
-  /// Minor (nursery) collections and their pause share.
-  uint64_t MinorCollections = 0;
-  uint64_t GCMinorPauseTotalNs = 0;
-  uint64_t GCMinorPauseMaxNs = 0;
-  /// Bytes / objects promoted from the nursery into the old generation.
-  uint64_t PromotedBytes = 0;
-  uint64_t PromotedObjects = 0;
-  /// Largest remembered-set population observed at a collection.
-  uint64_t RememberedSetPeak = 0;
-  /// Per-phase log2 pause histograms (same layout as the Heap's):
-  /// bucket 0 is < 1 µs, each next bucket doubles, the last bucket
-  /// collects everything ≥ 16.4 ms.
   static constexpr unsigned NumPauseBuckets = 16;
-  uint64_t MinorPauseHist[NumPauseBuckets] = {};
-  uint64_t MajorPauseHist[NumPauseBuckets] = {};
-  /// Redundant back-to-back collections skipped on the heap-limit path.
-  uint64_t DoubleCollectionsAvoided = 0;
+
+#define GRIFT_GC_COUNTER(Field, Key, Gate, Doc) uint64_t Field = 0;
+#define GRIFT_GC_COUNTER_ARRAY(Field, Size, Key, TotalKey, Gate, Doc)         \
+  uint64_t Field[Size] = {};
+#include "support/Counters.def"
 
   /// Objects allocated across all size classes (large included).
   uint64_t allocObjects() const {
@@ -90,12 +55,13 @@ struct RuntimeStats {
       Total += N;
     return Total;
   }
+};
 
-  /// Inline-cache hit rate in [0, 1]; 0 when no cached site was reached.
-  double cacheHitRate() const {
-    uint64_t Total = CacheHits + CacheMisses;
-    return Total ? static_cast<double>(CacheHits) / Total : 0.0;
-  }
+struct RuntimeStats : HeapStats {
+#define GRIFT_RUN_COUNTER(Field, Key, Gate, Doc) uint64_t Field = 0;
+#include "support/Counters.def"
+  /// Nanoseconds measured by the innermost (time ...) form, if any.
+  int64_t TimedNanos = -1;
 
   void noteChain(uint64_t Length) {
     LongestProxyChain = std::max(LongestProxyChain, Length);
@@ -107,6 +73,22 @@ struct RuntimeStats {
 
   void reset() { *this = RuntimeStats(); }
 };
+
+/// Calls \p Fn with a CounterRef for each run counter, in table order.
+template <typename F> void forEachRunCounter(const RuntimeStats &S, F &&Fn) {
+#define GRIFT_RUN_COUNTER(Field, Key, Gate, Doc)                              \
+  Fn(CounterRef{Key, "", CounterGate::Gate, Doc, &S.Field, 0});
+#include "support/Counters.def"
+}
+
+/// Calls \p Fn with a CounterRef for each GC counter, in table order.
+template <typename F> void forEachGCCounter(const HeapStats &S, F &&Fn) {
+#define GRIFT_GC_COUNTER(Field, Key, Gate, Doc)                               \
+  Fn(CounterRef{Key, "", CounterGate::Gate, Doc, &S.Field, 0});
+#define GRIFT_GC_COUNTER_ARRAY(Field, Size, Key, TotalKey, Gate, Doc)         \
+  Fn(CounterRef{Key, TotalKey, CounterGate::Gate, Doc, S.Field, Size});
+#include "support/Counters.def"
+}
 
 } // namespace grift
 

@@ -82,6 +82,14 @@ struct Value {
   static constexpr int64_t FixnumMax = (INT64_C(1) << 47) - 1;
   static constexpr int64_t FixnumMin = -(INT64_C(1) << 47);
 
+  /// Int arithmetic wraps two's-complement at the 48-bit payload: \p I
+  /// reduced to its low 48 bits, sign-extended. The reference
+  /// interpreter applies the same reduction, so both engines agree past
+  /// FixnumMax.
+  static constexpr int64_t wrapFixnum(int64_t I) {
+    return static_cast<int64_t>(static_cast<uint64_t>(I) << 16) >> 16;
+  }
+
   uint64_t Bits = TagBase | (static_cast<uint64_t>(ValueTag::Imm) << TagShift);
   // default-constructed Value is Unit (ImmKind::Unit payload == 0)
 

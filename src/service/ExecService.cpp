@@ -253,12 +253,7 @@ ServiceStats ExecService::stats() const {
   S.CacheMisses = Pool.totalCacheMisses();
   S.EpochResets = Pool.totalEpochResets();
   S.PeakQueueDepth = PeakQueue.load(std::memory_order_relaxed);
-  if (ProgStore) {
-    store::StoreStats SS = ProgStore->stats();
-    S.StoreHits = SS.Hits;
-    S.StoreMisses = SS.Misses;
-    S.StoreCorrupt = SS.Corrupt;
-    S.StoreEvicted = SS.Evicted;
-  }
+  if (ProgStore)
+    S.Store = ProgStore->stats();
   return S;
 }

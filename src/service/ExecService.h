@@ -105,10 +105,7 @@ struct ServiceStats {
   uint64_t CacheMisses = 0;
   uint64_t EpochResets = 0; ///< coercion-arena epoch resets across slots
   uint64_t PeakQueueDepth = 0; ///< high-water mark of waiting jobs
-  uint64_t StoreHits = 0;    ///< compiles served from the persistent store
-  uint64_t StoreMisses = 0;  ///< store lookups that fell back to compile
-  uint64_t StoreCorrupt = 0; ///< store misses caused by failed validation
-  uint64_t StoreEvicted = 0; ///< store entries evicted by the size cap
+  store::StoreStats Store; ///< persistent program store (zero without one)
 };
 
 class ExecService {

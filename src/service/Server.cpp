@@ -361,12 +361,11 @@ std::string Server::renderStats() const {
       << ",\"retries\":" << S.Exec.Retries
       << ",\"cache_hits\":" << S.Exec.CacheHits
       << ",\"cache_misses\":" << S.Exec.CacheMisses
-      << ",\"epoch_resets\":" << S.Exec.EpochResets
-      << ",\"store_hits\":" << S.Exec.StoreHits
-      << ",\"store_misses\":" << S.Exec.StoreMisses
-      << ",\"store_corrupt\":" << S.Exec.StoreCorrupt
-      << ",\"store_evicted\":" << S.Exec.StoreEvicted
-      << ",\"peak_queue_depth\":" << S.Exec.PeakQueueDepth
+      << ",\"epoch_resets\":" << S.Exec.EpochResets;
+#define GRIFT_STORE_COUNTER(Field, Key, Doc)                                   \
+  Out << ",\"store_" Key "\":" << S.Exec.Store.Field;
+#include "support/Counters.def"
+  Out << ",\"peak_queue_depth\":" << S.Exec.PeakQueueDepth
       << ",\"peak_inflight\":" << S.Adm.PeakInflight
       << ",\"peak_inflight_bytes\":" << S.Adm.PeakInflightBytes
       << ",\"tenants\":" << S.Quota.Tenants << "}";

@@ -274,14 +274,14 @@ bool Store::put(uint64_t Key, const VMProgram &Prog) {
   std::string Path = entryPath(Key);
   if (!writeAtomic(Path, Image))
     return false;
-  evictToCap(Path);
+  TrackedBytes += Image.size();
+  if (Config.MaxBytes && (!Tracked || TrackedBytes > Config.MaxBytes))
+    evictToCap(Path);
   return true;
 }
 
 void Store::evictToCap(const std::string &JustWritten) {
   // Caller holds WriteMu.
-  if (!Config.MaxBytes)
-    return;
   DIR *D = ::opendir(Config.Dir.c_str());
   if (!D)
     return;
@@ -307,6 +307,8 @@ void Store::evictToCap(const std::string &JustWritten) {
     Total += uint64_t(St.st_size);
   }
   ::closedir(D);
+  Tracked = true;
+  TrackedBytes = Total;
   if (Total <= Config.MaxBytes)
     return;
   // Oldest first, with the path as a deterministic secondary key:
@@ -329,6 +331,7 @@ void Store::evictToCap(const std::string &JustWritten) {
     Total -= Entries[I].Size;
     Evicted.fetch_add(1, std::memory_order_relaxed);
   }
+  TrackedBytes = Total;
 }
 
 Store::VerifyResult Store::verifyAll() {
@@ -390,9 +393,8 @@ std::string Store::lastReason() const {
 
 StoreStats Store::stats() const {
   StoreStats S;
-  S.Hits = Hits.load(std::memory_order_relaxed);
-  S.Misses = Misses.load(std::memory_order_relaxed);
-  S.Corrupt = Corrupt.load(std::memory_order_relaxed);
-  S.Evicted = Evicted.load(std::memory_order_relaxed);
+#define GRIFT_STORE_COUNTER(Field, Key, Doc)                                   \
+  S.Field = Field.load(std::memory_order_relaxed);
+#include "support/Counters.def"
   return S;
 }

@@ -53,11 +53,10 @@ struct StoreConfig {
   FaultInjector *Faults = nullptr;
 };
 
+/// The store's counters, declared in support/Counters.def.
 struct StoreStats {
-  uint64_t Hits = 0;    ///< programs served from a validated image
-  uint64_t Misses = 0;  ///< every lookup that fell back to a compile
-  uint64_t Corrupt = 0; ///< misses caused by a failed validation
-  uint64_t Evicted = 0; ///< entries removed by the size cap
+#define GRIFT_STORE_COUNTER(Field, Key, Doc) uint64_t Field = 0;
+#include "support/Counters.def"
 };
 
 /// RAII read-only mapping of one entry file.
@@ -101,9 +100,10 @@ public:
             VMProgram &Out);
 
   /// Serializes \p Prog and publishes it under \p Key via temp + fsync +
-  /// rename, then enforces the size cap. False when the write could not
-  /// complete (the store is then simply not warmed — never an error for
-  /// the caller).
+  /// rename, then enforces the size cap: a directory scan on the first
+  /// put and whenever the running byte total crosses the cap. False when
+  /// the write could not complete (the store is then simply not warmed —
+  /// never an error for the caller).
   bool put(uint64_t Key, const VMProgram &Prog);
 
   /// Offline integrity sweep (griftc --store-verify, crash-recovery CI):
@@ -133,10 +133,16 @@ private:
 
   StoreConfig Config;
   mutable std::mutex WriteMu;
-  std::atomic<uint64_t> Hits{0}, Misses{0}, Corrupt{0}, Evicted{0};
+#define GRIFT_STORE_COUNTER(Field, Key, Doc) std::atomic<uint64_t> Field{0};
+#include "support/Counters.def"
   std::atomic<uint64_t> TmpSeq{0};
   LoadStatus LastStatus = LoadStatus::Missing; ///< guarded by WriteMu
   std::string LastReason;                      ///< guarded by WriteMu
+  /// Entry bytes at the last scan plus this Store's puts since (guarded
+  /// by WriteMu). Removals and overwrites leave it high, which brings the
+  /// next scan forward; other processes' puts leave it low.
+  uint64_t TrackedBytes = 0;
+  bool Tracked = false; ///< false until the first scan
 };
 
 } // namespace grift::store

@@ -39,6 +39,56 @@ bool grift::parseDouble(std::string_view Text, double &Out) {
   return true;
 }
 
+bool grift::parseCount(std::string_view Text, uint64_t Max, uint64_t &Out) {
+  size_t Suffix = Text.empty() ? std::string_view::npos
+                               : std::string_view("kmgKMG").find(Text.back());
+  unsigned Shift = Suffix == std::string_view::npos ? 0 : 10 * (Suffix % 3 + 1);
+  if (Shift)
+    Text.remove_suffix(1);
+  if (Text.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    unsigned Digit = static_cast<unsigned>(C - '0');
+    if (Value > (Max - Digit) / 10)
+      return false;
+    Value = Value * 10 + Digit;
+  }
+  if (Value > Max >> Shift)
+    return false;
+  Out = Value << Shift;
+  return true;
+}
+
+bool grift::parseMillisFlag(std::string_view Arg, std::string_view Prefix,
+                            int64_t &Nanos) {
+  constexpr uint64_t NanosPerMs = 1000000;
+  uint64_t Ms;
+  if (Arg.substr(0, Prefix.size()) != Prefix ||
+      !parseCount(Arg.substr(Prefix.size()),
+                  std::numeric_limits<int64_t>::max() / NanosPerMs, Ms))
+    return false;
+  Nanos = static_cast<int64_t>(Ms * NanosPerMs);
+  return true;
+}
+
+bool grift::parseFlag(std::string_view Arg, std::string_view Prefix,
+                      double &Out) {
+  if (Arg.substr(0, Prefix.size()) != Prefix)
+    return false;
+  std::string_view Text = Arg.substr(Prefix.size());
+  double Value;
+  // strtod also takes signs, whitespace, "inf", "nan" and hex floats.
+  if (Text.empty() || Text[0] == '-' || Text[0] == '+' ||
+      Text.find_first_not_of("0123456789.eE+-") != std::string_view::npos ||
+      !parseDouble(Text, Value))
+    return false;
+  Out = Value;
+  return true;
+}
+
 std::string grift::formatDouble(double Value) {
   if (std::isnan(Value))
     return "+nan.0";

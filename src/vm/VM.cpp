@@ -77,28 +77,7 @@ RunResult VM::run(std::string In, const RunLimits &L) {
                            std::chrono::steady_clock::now() - StartTime)
                            .count();
     Result.Stats = RT.stats();
-    const Heap &H = RT.heap();
-    Result.Stats.AllocBytes = H.bytesAllocated();
-    for (unsigned C = 0; C != Heap::NumSizeClasses; ++C)
-      Result.Stats.AllocObjectsByClass[C] = H.objectsAllocatedInClass(C);
-    Result.Stats.AllocObjectsByClass[RuntimeStats::NumAllocClasses - 1] =
-        H.largeObjectsAllocated();
-    Result.Stats.Collections = H.collections();
-    Result.Stats.GCPauseTotalNs = H.gcPauseTotalNs();
-    Result.Stats.GCPauseMaxNs = H.gcPauseMaxNs();
-    Result.Stats.MinorCollections = H.minorCollections();
-    Result.Stats.GCMinorPauseTotalNs = H.gcMinorPauseTotalNs();
-    Result.Stats.GCMinorPauseMaxNs = H.gcMinorPauseMaxNs();
-    Result.Stats.PromotedBytes = H.promotedBytes();
-    Result.Stats.PromotedObjects = H.promotedObjects();
-    Result.Stats.RememberedSetPeak = H.rememberedSetPeak();
-    static_assert(RuntimeStats::NumPauseBuckets == Heap::PauseHistBuckets,
-                  "pause histogram layouts out of sync");
-    for (unsigned B = 0; B != Heap::PauseHistBuckets; ++B) {
-      Result.Stats.MinorPauseHist[B] = H.minorPauseHistogram()[B];
-      Result.Stats.MajorPauseHist[B] = H.majorPauseHistogram()[B];
-    }
-    Result.Stats.DoubleCollectionsAvoided = H.doubleCollectionsAvoided();
+    static_cast<HeapStats &>(Result.Stats) = RT.heap().stats();
     Result.PeakHeapBytes = RT.heap().peakHeapBytes();
     // Exact on normal completion (Halt charges its partial batch);
     // error paths keep batch granularity — the same rounding the
@@ -913,7 +892,9 @@ void VM::doPrim(PrimOp Op) {
     assert(V.isFloat() && "float primitive on non-float");
     return V.asFloat();
   };
-  auto pushInt = [&](int64_t I) { push(Value::fromFixnum(I)); };
+  auto pushInt = [&](int64_t I) {
+    push(Value::fromFixnum(Value::wrapFixnum(I)));
+  };
   auto pushF = [&](double D) { push(Value::fromFloat(D)); };
   auto pushBool = [&](bool B) { push(Value::fromBool(B)); };
 
@@ -929,8 +910,10 @@ void VM::doPrim(PrimOp Op) {
     return;
   }
   case PrimOp::MulI: {
-    int64_t B = popInt(), A = popInt();
-    pushInt(A * B);
+    // Unsigned, so a product past int64 wraps instead of overflowing.
+    uint64_t B = static_cast<uint64_t>(popInt());
+    uint64_t A = static_cast<uint64_t>(popInt());
+    pushInt(static_cast<int64_t>(A * B));
     return;
   }
   case PrimOp::DivI: {

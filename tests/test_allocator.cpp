@@ -47,8 +47,8 @@ TEST(PoolAllocator, RefillsBlocksOnDemand) {
   // 0-slot tuples must map at least two blocks.
   makeGarbage(H, 2100, 0);
   EXPECT_GE(H.poolBlocks(), 2u);
-  EXPECT_EQ(H.objectsAllocatedInClass(0), 2100u);
-  EXPECT_EQ(H.largeObjectsAllocated(), 0u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[0], 2100u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[Heap::NumSizeClasses], 0u);
 }
 
 TEST(PoolAllocator, AllocateCollectLoopHoldsBlocksSteady) {
@@ -90,7 +90,7 @@ TEST(PoolAllocator, LargeObjectsBypassThePoolAndSweepEagerly) {
   {
     Value V = H.allocVector(100, Value::fromFixnum(7));
     Rooted Root(H, V);
-    EXPECT_EQ(H.largeObjectsAllocated(), 1u);
+    EXPECT_EQ(H.stats().AllocObjectsByClass[Heap::NumSizeClasses], 1u);
     EXPECT_EQ(V.object()->slot(99), Value::fromFixnum(7));
     H.collect();
     EXPECT_EQ(H.liveObjects(), 1u); // rooted: survives
@@ -184,7 +184,7 @@ TEST(PoolAllocator, HeapLimitSkipsRedundantSecondCollection) {
     Value V = H.allocVector(40, Value::unit()); // 384 B cells
     Roots.push_back(new Rooted(H, V));
   }
-  EXPECT_EQ(H.doubleCollectionsAvoided(), 0u);
+  EXPECT_EQ(H.stats().DoubleCollectionsAvoided, 0u);
   bool Hit = false;
   try {
     Value Big = H.allocVector(24992, Value::unit()); // 200,000 B payload
@@ -195,7 +195,7 @@ TEST(PoolAllocator, HeapLimitSkipsRedundantSecondCollection) {
   }
   EXPECT_TRUE(Hit) << "the large allocation fit under the 1 MiB limit";
   // One collection on the threshold path, none on the limit path.
-  EXPECT_EQ(H.doubleCollectionsAvoided(), 1u);
+  EXPECT_EQ(H.stats().DoubleCollectionsAvoided, 1u);
   while (!Roots.empty()) { // LIFO teardown keeps the temp-root stack sane
     delete Roots.back();
     Roots.pop_back();
@@ -218,15 +218,15 @@ TEST(PoolAllocator, PerClassCountersMatchAllocationSizes) {
   H.allocVector(40, Value::unit());     // 384 B -> class 5
   H.allocVector(56, Value::unit());     // 512 B -> class 6
   H.allocVector(57, Value::unit());     // large
-  EXPECT_EQ(H.objectsAllocatedInClass(0), 1u);
-  EXPECT_EQ(H.objectsAllocatedInClass(1), 2u);
-  EXPECT_EQ(H.objectsAllocatedInClass(2), 1u);
-  EXPECT_EQ(H.objectsAllocatedInClass(3), 1u);
-  EXPECT_EQ(H.objectsAllocatedInClass(4), 1u);
-  EXPECT_EQ(H.objectsAllocatedInClass(5), 1u);
-  EXPECT_EQ(H.objectsAllocatedInClass(6), 1u);
-  EXPECT_EQ(H.largeObjectsAllocated(), 1u);
-  EXPECT_EQ(H.bytesAllocated(), 64u + 96 + 96 + 128 + 192 + 256 + 384 + 512 +
+  EXPECT_EQ(H.stats().AllocObjectsByClass[0], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[1], 2u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[2], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[3], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[4], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[5], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[6], 1u);
+  EXPECT_EQ(H.stats().AllocObjectsByClass[Heap::NumSizeClasses], 1u);
+  EXPECT_EQ(H.stats().AllocBytes, 64u + 96 + 96 + 128 + 192 + 256 + 384 + 512 +
                                     (sizeof(HeapObject) + 57 * sizeof(Value)));
 }
 

@@ -63,11 +63,12 @@ TEST(GenerationalGC, MinorCollectionPromotesSurvivorsAtEverySizeClass) {
       T.object()->slot(I) = Value::fromFixnum(I + 1);
     Rooted Root(H, T);
     makeGarbage(H, 50, Slots);
-    uint64_t PromotedBefore = H.promotedObjects();
+    uint64_t PromotedBefore = H.stats().PromotedObjects;
     H.minorCollect();
     // The rooted tuple moved to the old generation; the root followed.
     EXPECT_FALSE(H.isYoung(Root.get().object())) << "slots " << Slots;
-    EXPECT_EQ(H.promotedObjects(), PromotedBefore + 1) << "slots " << Slots;
+    EXPECT_EQ(H.stats().PromotedObjects, PromotedBefore + 1)
+        << "slots " << Slots;
     EXPECT_EQ(H.liveObjects(), 1u) << "slots " << Slots;
     for (uint32_t I = 0; I != Slots; ++I)
       EXPECT_EQ(Root.get().object()->slot(I).asFixnum(), I + 1);
@@ -97,7 +98,7 @@ TEST(GenerationalGC, NurseryExhaustionMidAllocationTriggersMinor) {
                              // several minors fire while the chain grows
   for (int I = 0; I != Links; ++I)
     Root.set(H.allocBox(Root.get()));
-  EXPECT_GE(H.minorCollections(), 1u);
+  EXPECT_GE(H.stats().MinorCollections, 1u);
   int Depth = 0;
   for (Value V = Root.get(); V.isPointer(); V = V.object()->slot(0))
     ++Depth;

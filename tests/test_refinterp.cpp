@@ -58,6 +58,28 @@ protected:
 
 } // namespace
 
+TEST_F(RefInterpTest, IntArithmeticWrapsAtTheFixnumWidth) {
+  // Both engines wrap Int at the 48-bit fixnum payload. The fuzz program
+  // that exposed the disagreement (the reference interpreter kept 64
+  // bits) squares a product past 2^47 twice, through Dyn and a vector.
+  EXPECT_EQ(differential("(* 140737488355327 2)").ResultText, "-2");
+  EXPECT_EQ(differential("(+ 140737488355327 1)").ResultText,
+            "-140737488355328");
+  EXPECT_EQ(differential("(- -140737488355328 1)").ResultText,
+            "140737488355327");
+  // Past int64 too: (2^47 - 1)^2 = 2^94 - 2^48 + 1.
+  EXPECT_EQ(differential("(* 140737488355327 140737488355327)").ResultText,
+            "1");
+  EXPECT_EQ(differential("(read-int)", "140737488355328").ResultText,
+            "-140737488355328");
+  differential(
+      "(define (g1 [g1p0 : Int]) : Int (* (* (if #f g1p0 g1p0) 86)"
+      " (ann (ann (let ([v0 : (Tuple Int Bool) (tuple 1 #t)]) g1p0) Dyn)"
+      " Int)))\n"
+      "(g1 (g1 (* (vector-ref (ann (ann (make-vector 2 -98) Dyn) (Vect Int))"
+      " 0) (vector-ref (ann (ann (make-vector 2 48) Dyn) (Vect Int)) 0))))");
+}
+
 TEST_F(RefInterpTest, CoreForms) {
   differential("42");
   differential("(fl+ 1.5 2.0)");

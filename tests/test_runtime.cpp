@@ -109,7 +109,7 @@ TEST(Heap, StressWithTinyThreshold) {
     if (I % 16 == 0)
       Root.get().object()->slot((I / 16) % 16) = T;
   }
-  EXPECT_GT(H.collections(), 0u);
+  EXPECT_GT(H.stats().Collections, 0u);
   // The kept vector still holds live tuples.
   for (uint32_t I = 0; I != 16; ++I) {
     Value Slot = Root.get().object()->slot(I);
@@ -133,7 +133,7 @@ TEST(Heap, ThresholdIsClampedUnderHeapLimit) {
   H.setHeapLimit(2u << 20);
   for (int I = 0; I != 100000; ++I)
     H.allocTuple(16); // unrooted: garbage by the next collection
-  EXPECT_GE(H.collections(), 20u);
+  EXPECT_GE(H.stats().Collections, 20u);
   EXPECT_LE(H.peakHeapBytes(), 2u << 20);
 }
 
@@ -144,10 +144,10 @@ TEST(Heap, SetHeapLimitClampsImmediately) {
   Heap H;
   H.setNurserySize(0); // the threshold clamp under test is the old gen's
   H.setHeapLimit(1u << 20);
-  uint64_t Before = H.collections();
+  uint64_t Before = H.stats().Collections;
   for (int I = 0; I != 4000; ++I) // ~0.75 MiB of garbage
     H.allocTuple(16);
-  EXPECT_GT(H.collections(), Before); // threshold (256 KiB) fired
+  EXPECT_GT(H.stats().Collections, Before); // threshold (256 KiB) fired
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,7 +340,7 @@ TEST(FaultInjection, TortureForcesCollectionEveryPeriod) {
   for (int I = 0; I != 10; ++I)
     H.allocTuple(2);
   EXPECT_EQ(FI.ForcedCollections, 3u); // after allocations 3, 6, 9
-  EXPECT_GE(H.collections(), 3u);
+  EXPECT_GE(H.stats().Collections, 3u);
 }
 
 TEST(FaultInjection, TorturedRootedValuesSurvive) {
@@ -433,3 +433,63 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+//===----------------------------------------------------------------------===//
+// The counter table (support/Counters.def)
+//===----------------------------------------------------------------------===//
+
+TEST(CounterTable, StructsHoldExactlyTheTableEntries) {
+  // No counter field exists outside the table: every word of HeapStats
+  // is a table entry, and RuntimeStats adds the run counters plus the
+  // (time ...) measurement.
+  size_t GCWords = 0, RunWords = 0;
+  forEachGCCounter(HeapStats(), [&](const CounterRef &C) {
+    GCWords += std::max(C.Size, 1u);
+  });
+  forEachRunCounter(RuntimeStats(),
+                    [&](const CounterRef &C) { RunWords += 1 + C.Size; });
+  EXPECT_EQ(sizeof(HeapStats), GCWords * sizeof(uint64_t));
+  EXPECT_EQ(sizeof(RuntimeStats),
+            sizeof(HeapStats) + RunWords * sizeof(uint64_t) + sizeof(int64_t));
+}
+
+TEST(CounterTable, ExactKeysAreTheBenchCompareGate) {
+  // The keys benchjson lists under "exact" and bench_compare.py gates;
+  // a counter leaves this list only deliberately.
+  std::vector<std::string> Exact;
+  auto Collect = [&](const CounterRef &C) {
+    if (C.Gate != CounterGate::Exact)
+      return;
+    if (*C.TotalKey)
+      Exact.push_back(C.TotalKey);
+    Exact.push_back(C.Key);
+  };
+  forEachRunCounter(RuntimeStats(), Collect);
+  forEachGCCounter(HeapStats(), Collect);
+  EXPECT_EQ(Exact, (std::vector<std::string>{
+                       "casts", "longest_chain", "max_ret_casts",
+                       "compositions", "cache_hits", "cache_misses",
+                       "alloc_bytes", "alloc_objects", "alloc_by_class",
+                       "collections", "gc_minor_pauses", "gc_promoted_bytes",
+                       "remembered_set_peak"}));
+}
+
+TEST(CounterTable, RunResultCarriesTheHeapCounters) {
+  Grift G;
+  std::string Errors;
+  auto Exe = G.compile("(vector-ref (make-vector 100 (box 1)) 3)",
+                       CastMode::Coercions, Errors);
+  ASSERT_TRUE(Exe) << Errors;
+  RunResult R = Exe->run("");
+  ASSERT_TRUE(R.OK) << R.Error.str();
+  EXPECT_EQ(R.Stats.allocObjects(), 2u);
+  EXPECT_EQ(R.Stats.AllocObjectsByClass[1], 1u); // the box: 72 → 96 bytes
+  EXPECT_EQ(R.Stats.AllocObjectsByClass[Heap::NumSizeClasses], 1u);
+  CounterRef ByClass{};
+  forEachGCCounter(R.Stats, [&](const CounterRef &C) {
+    if (C.Values == R.Stats.AllocObjectsByClass)
+      ByClass = C;
+  });
+  EXPECT_EQ(ByClass.Size, HeapStats::NumAllocClasses);
+  EXPECT_EQ(ByClass.total(), R.Stats.allocObjects());
+}

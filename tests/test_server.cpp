@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <regex>
 #include <thread>
 #include <vector>
 
@@ -342,6 +343,40 @@ TEST(Server, ServesJobsOverTcpAndReportsStats) {
   Srv.beginDrain();
   Srv.waitDrained();
   EXPECT_EQ(Srv.stats().Responses, 3u);
+}
+
+// The {"stats":true} frame's keys are an interface: griftload and the
+// repo benchmark read them by name. Pin the full set, in wire order, and
+// that every counter is an unsigned integer.
+TEST(Server, StatsFrameCarriesEveryKey) {
+  Server Srv(smallServer());
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+  Client C(Srv.tcpPort());
+  ASSERT_TRUE(C.ok());
+  std::string Stats = C.roundTrip("{\"stats\": true}");
+
+  const std::vector<std::string> Expected = {
+      "status", "connections_accepted", "connections_refused", "requests",
+      "responses", "bad_requests", "slow_client_drops", "shed_total",
+      "quota_rejects", "quota_rate_rejects", "quota_fuel_rejects",
+      "breaker_rejects", "watchdog_kills", "deadline_expired",
+      "jobs_submitted", "jobs_completed", "retries", "cache_hits",
+      "cache_misses", "epoch_resets", "store_hits", "store_misses",
+      "store_corrupt", "store_evicted", "peak_queue_depth", "peak_inflight",
+      "peak_inflight_bytes", "tenants"};
+  std::vector<std::string> Keys;
+  std::regex Field("\"([a-z_]+)\":(\"stats\"|[0-9]+)[,}]");
+  for (auto It = std::sregex_iterator(Stats.begin(), Stats.end(), Field);
+       It != std::sregex_iterator(); ++It)
+    Keys.push_back((*It)[1]);
+  EXPECT_EQ(Keys, Expected) << Stats;
+  ASSERT_FALSE(Stats.empty());
+  EXPECT_EQ(Stats.front(), '{');
+  EXPECT_EQ(Stats.back(), '}');
+
+  Srv.beginDrain();
+  Srv.waitDrained();
 }
 
 TEST(Server, MalformedJsonKeepsConnectionOversizedFrameCloses) {

@@ -560,6 +560,93 @@ TEST_F(StoreTest, EvictionSparesJustWrittenUnderMTimeTies) {
       << "tie must keep the lexicographically-second path";
 }
 
+TEST_F(StoreTest, EvictionAtCapCrossingTakesExactlyTheOldest) {
+  // Eight small entries fill the cap exactly, so none of their puts
+  // evicts; a ninth, bigger entry crosses it and must evict exactly the
+  // oldest small entries whose bytes make room, never the newest.
+  std::vector<std::string> Names;
+  std::vector<uint64_t> Sizes;
+  auto put = [&](Store &S, const std::string &Source, const char *Input) {
+    std::vector<std::string> Before = entries();
+    uint64_t Key = 0;
+    compileAndPut(S, Source, CastMode::Coercions, Input, Key);
+    for (const std::string &Name : entries())
+      if (!std::binary_search(Before.begin(), Before.end(), Name)) {
+        Names.push_back(Name);
+        struct stat St;
+        EXPECT_EQ(::stat((Dir + "/" + Name).c_str(), &St), 0);
+        Sizes.push_back(static_cast<uint64_t>(St.st_size));
+      }
+  };
+  // Measure the nine images once, then start from an empty directory.
+  {
+    Store Probe = makeStore();
+    for (int I = 0; I != 8; ++I)
+      put(Probe, "(+ " + std::to_string(I) + " 1)", "");
+    put(Probe, getBenchmark("tak").Source, "3 2 1");
+  }
+  ASSERT_EQ(Sizes.size(), 9u);
+  uint64_t Cap = 0;
+  for (int I = 0; I != 8; ++I)
+    Cap += Sizes[I];
+  size_t Victims = 0;
+  for (uint64_t Freed = 0; Freed < Sizes[8];)
+    Freed += Sizes[Victims++];
+  ASSERT_GT(Victims, 1u) << "the crossing entry must displace several";
+  ASSERT_LT(Victims, 8u);
+  TearDown();
+  SetUp();
+  Names.clear();
+  Sizes.clear();
+
+  // Distinct, increasing mtimes in the past make "oldest" exact even on
+  // a coarse filesystem clock; the crossing entry is written now.
+  Store S = makeStore(Cap);
+  std::time_t Base = ::time(nullptr) - 1000;
+  for (int I = 0; I != 8; ++I) {
+    put(S, "(+ " + std::to_string(I) + " 1)", "");
+    struct timespec Times[2] = {{Base + I, 0}, {Base + I, 0}};
+    ASSERT_EQ(::utimensat(AT_FDCWD, (Dir + "/" + Names.back()).c_str(),
+                          Times, 0),
+              0);
+  }
+  EXPECT_EQ(S.stats().Evicted, 0u);
+  EXPECT_EQ(entries().size(), 8u);
+
+  put(S, getBenchmark("tak").Source, "3 2 1");
+  EXPECT_EQ(S.stats().Evicted, Victims);
+  std::vector<std::string> After = entries();
+  for (size_t I = 0; I != Names.size(); ++I)
+    EXPECT_EQ(std::binary_search(After.begin(), After.end(), Names[I]),
+              I >= Victims)
+        << "entry " << I << " of " << Names.size();
+}
+
+TEST_F(StoreTest, EvictionSeesOtherWritersAtTheNextScan) {
+  // A put below the cap does not rescan the directory: bytes another
+  // writer added since this Store's last scan are found only when this
+  // Store's own running total crosses the cap (docs/OPERATIONS.md).
+  uint64_t K = 0;
+  {
+    Store Other = makeStore();
+    compileAndPut(Other, "(+ 1 1)", CastMode::Coercions, "", K);
+  }
+  uint64_t OneEntry = readFile(Dir + "/" + entries()[0]).size();
+  Store S = makeStore(/*MaxBytes=*/OneEntry * 3);
+  compileAndPut(S, "(+ 2 1)", CastMode::Coercions, "", K); // seeds: 2
+  {
+    Store Other = makeStore();
+    compileAndPut(Other, "(+ 3 1)", CastMode::Coercions, "", K);
+    compileAndPut(Other, "(+ 4 1)", CastMode::Coercions, "", K);
+  }
+  compileAndPut(S, "(+ 5 1)", CastMode::Coercions, "", K); // tracks 3
+  EXPECT_EQ(S.stats().Evicted, 0u);
+  EXPECT_EQ(entries().size(), 5u); // over the cap until the next scan
+  compileAndPut(S, "(+ 6 1)", CastMode::Coercions, "", K); // crosses
+  EXPECT_EQ(S.stats().Evicted, 3u);
+  EXPECT_EQ(entries().size(), 3u);
+}
+
 //===----------------------------------------------------------------------===//
 // Service integration: store position in the lookup chain
 //===----------------------------------------------------------------------===//
@@ -577,8 +664,8 @@ TEST_F(StoreTest, ExecServiceWarmStartsAcrossRestart) {
     service::JobResult R = Service.submit(Spec).get();
     ASSERT_EQ(R.Status, service::JobStatus::Done);
     service::ServiceStats SS = Service.stats();
-    EXPECT_EQ(SS.StoreHits, 0u);
-    EXPECT_GE(SS.StoreMisses, 1u);
+    EXPECT_EQ(SS.Store.Hits, 0u);
+    EXPECT_GE(SS.Store.Misses, 1u);
   }
   {
     // A "restarted" service over the same cache dir: the first compile
@@ -590,8 +677,8 @@ TEST_F(StoreTest, ExecServiceWarmStartsAcrossRestart) {
     ASSERT_EQ(R.Status, service::JobStatus::Done);
     EXPECT_EQ(R.ResultText, "41");
     service::ServiceStats SS = Service.stats();
-    EXPECT_GE(SS.StoreHits, 1u);
-    EXPECT_EQ(SS.StoreCorrupt, 0u);
+    EXPECT_GE(SS.Store.Hits, 1u);
+    EXPECT_EQ(SS.Store.Corrupt, 0u);
   }
 }
 

@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the support module: diagnostics, string utilities, RNG.
+/// Unit tests for the support module: diagnostics, string utilities, RNG,
+/// and the shared numeric flag parser.
 ///
 //===----------------------------------------------------------------------===//
 #include "support/Diagnostics.h"
@@ -9,6 +10,8 @@
 #include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 using namespace grift;
 
@@ -127,4 +130,101 @@ TEST(RNG, BelowCoversValues) {
   for (int I = 0; I != 200; ++I)
     Seen[Gen.below(4)] = true;
   EXPECT_TRUE(Seen[0] && Seen[1] && Seen[2] && Seen[3]);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared numeric flag parser (griftc, griftd, griftfuzz, griftload).
+//===----------------------------------------------------------------------===//
+
+TEST(FlagParser, PlainAndSuffixedCounts) {
+  uint64_t V = 0;
+  EXPECT_TRUE(parseCount("0", UINT64_MAX, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseCount("42", UINT64_MAX, V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseCount("4k", UINT64_MAX, V));
+  EXPECT_EQ(V, 4096u);
+  EXPECT_TRUE(parseCount("256m", UINT64_MAX, V));
+  EXPECT_EQ(V, 256ull << 20);
+  EXPECT_TRUE(parseCount("2G", UINT64_MAX, V));
+  EXPECT_EQ(V, 2ull << 30);
+  EXPECT_TRUE(parseCount("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
+TEST(FlagParser, RejectsSignsEmptyAndJunk) {
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "k", "1x", "1kk",
+                          "0x10", "1.5", "1e3", "--1"}) {
+    uint64_t V = 7;
+    EXPECT_FALSE(parseCount(Bad, UINT64_MAX, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 7u) << "output written on failure for '" << Bad << "'";
+  }
+}
+
+TEST(FlagParser, RejectsOutOfRange) {
+  uint64_t V = 0;
+  EXPECT_FALSE(parseCount("18446744073709551616", UINT64_MAX, V));
+  EXPECT_FALSE(parseCount("99999999999999999999999", UINT64_MAX, V));
+  EXPECT_TRUE(parseCount("17179869183g", UINT64_MAX, V)); // (2^34-1)·2^30
+  EXPECT_FALSE(parseCount("17179869184g", UINT64_MAX, V)); // 2^34 · 2^30
+  EXPECT_TRUE(parseCount("255", 255, V));
+  EXPECT_FALSE(parseCount("256", 255, V));
+  EXPECT_FALSE(parseCount("1k", 1023, V));
+}
+
+TEST(FlagParser, DestinationWidthBoundsTheValue) {
+  unsigned Threads = 3;
+  EXPECT_FALSE(parseFlag("--threads=-1", "--threads=", Threads));
+  EXPECT_FALSE(parseFlag("--threads=4294967296", "--threads=", Threads));
+  EXPECT_FALSE(parseFlag("--threads=", "--threads=", Threads));
+  EXPECT_EQ(Threads, 3u);
+  EXPECT_TRUE(parseFlag("--threads=8", "--threads=", Threads));
+  EXPECT_EQ(Threads, 8u);
+
+  uint16_t Port = 0;
+  EXPECT_TRUE(parseFlag("--port=65535", "--port=", Port));
+  EXPECT_EQ(Port, 65535u);
+  EXPECT_FALSE(parseFlag("--port=65536", "--port=", Port));
+  EXPECT_FALSE(parseFlag("--port=64k", "--port=", Port));
+
+  uint64_t Bytes = 0;
+  EXPECT_TRUE(parseFlag("--cache-max-bytes=256m", "--cache-max-bytes=",
+                        Bytes));
+  EXPECT_EQ(Bytes, 256ull << 20);
+}
+
+TEST(FlagParser, PrefixMustMatch) {
+  uint64_t V = 5;
+  EXPECT_FALSE(parseFlag("--seed=1", "--iters=", V));
+  EXPECT_FALSE(parseFlag("--iter=1", "--iters=", V));
+  EXPECT_FALSE(parseFlag("--iters", "--iters=", V));
+  EXPECT_EQ(V, 5u);
+}
+
+TEST(FlagParser, MillisecondsBecomeNanoseconds) {
+  int64_t Nanos = 0;
+  EXPECT_TRUE(parseMillisFlag("--deadline-ms=250", "--deadline-ms=", Nanos));
+  EXPECT_EQ(Nanos, 250000000);
+  EXPECT_FALSE(parseMillisFlag("--deadline-ms=-5", "--deadline-ms=", Nanos));
+  // The largest count whose nanoseconds still fit int64_t, and one more.
+  EXPECT_TRUE(
+      parseMillisFlag("--deadline-ms=9223372036854", "--deadline-ms=", Nanos));
+  EXPECT_EQ(Nanos, 9223372036854000000);
+  EXPECT_FALSE(
+      parseMillisFlag("--deadline-ms=9223372036855", "--deadline-ms=", Nanos));
+}
+
+TEST(FlagParser, RatesAreNonNegativeFiniteDecimals) {
+  double Rate = 1.0;
+  EXPECT_TRUE(parseFlag("--tenant-rps=2.5", "--tenant-rps=", Rate));
+  EXPECT_DOUBLE_EQ(Rate, 2.5);
+  EXPECT_TRUE(parseFlag("--tenant-rps=.5", "--tenant-rps=", Rate));
+  EXPECT_DOUBLE_EQ(Rate, 0.5);
+  for (const char *Bad : {"--tenant-rps=", "--tenant-rps=-1",
+                          "--tenant-rps=+1", "--tenant-rps=inf",
+                          "--tenant-rps=nan", "--tenant-rps=0x10",
+                          "--tenant-rps=1e999", "--tenant-rps=2k",
+                          "--tenant-rps= 1"})
+    EXPECT_FALSE(parseFlag(Bad, "--tenant-rps=", Rate)) << Bad;
+  EXPECT_DOUBLE_EQ(Rate, 0.5);
 }

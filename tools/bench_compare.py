@@ -10,21 +10,21 @@ Exit status is non-zero when
     (default 50% — generous because CI machines are noisy; the point is
     to catch the order-of-magnitude regressions that dropping an inline
     cache or un-threading the dispatch loop would cause),
-  * a deterministic counter (casts, longest_chain, compositions,
-    cache_hits, cache_misses, alloc_bytes, alloc_objects, alloc_by_class,
-    collections) changed at all — counters do not depend on machine
-    speed, so any drift means the cast semantics or the allocation
-    behaviour changed and the baseline must be regenerated deliberately,
+  * a deterministic counter changed at all — counters do not depend on
+    machine speed, so any drift means the cast semantics or the
+    allocation behaviour changed and the baseline must be regenerated
+    deliberately. The counters checked are the ones a document lists
+    under "exact" (benchjson writes the Exact entries of the counter
+    table, src/support/Counters.def; griftload and storebench list
+    none); in two-file mode at least one document must carry the list,
   * the CURRENT file violates a paper shape invariant (see below), or
   * an --slo gate fails (see below).
 
-GC pause times (gc_pause_total_ns / gc_pause_max_ns) and the griftload
-service-level fields (p50_ns, p99_ns, p999_ns, shed_total, shed_rate_pct,
-quota_rejects, watchdog_kills, deadline_expired, slow_client_drops,
-requests, ok, rejected, bad_requests, lost) are run-dependent: they are
-reported alongside the medians but never fail a baseline comparison.
-Counters absent from one side (older baselines) are skipped rather than
-treated as drift.
+Every other field both rows carry (GC pause times, peak heap, the
+griftload and storebench service-level fields) is run-dependent or
+informational: a change is reported alongside the medians but never
+fails a baseline comparison. Counters absent from one side (older
+baselines) are skipped rather than treated as drift.
 
 SLO gates (--slo, repeatable) enforce absolute bounds on the CURRENT
 rows instead of relative drift. The spec is NAME:FIELD OP VALUE where
@@ -73,22 +73,8 @@ import math
 import re
 import sys
 
-COUNTERS = ("casts", "longest_chain", "max_ret_casts", "compositions",
-            "cache_hits", "cache_misses", "alloc_bytes", "alloc_objects",
-            "alloc_by_class", "collections", "gc_minor_pauses",
-            "gc_promoted_bytes", "remembered_set_peak")
-
-# Run-dependent observability: reported, never enforced by the baseline
-# diff (use --slo for absolute bounds on these).
-REPORTED = ("gc_pause_total_ns", "gc_pause_max_ns",
-            "gc_minor_pause_max_ns", "gc_pause_ratio_pct",
-            "p50_ns", "p99_ns", "p999_ns",
-            "shed_total", "shed_rate_pct", "quota_rejects",
-            "watchdog_kills", "deadline_expired", "slow_client_drops",
-            "requests", "ok", "failed", "rejected", "bad_requests",
-            "lost", "wall_ns",
-            "cold_compile_ns", "warm_load_ns", "warm_over_cold_pct",
-            "store_hits", "store_misses", "store_corrupt", "store_evicted")
+# Row fields that are neither counters nor reported figures.
+NOT_REPORTED = ("name", "mode", "median_ns")
 
 SLO_RE = re.compile(r"^(?P<name>[^:]+):(?P<field>[A-Za-z0-9_]+)"
                     r"(?P<op><=|>=)(?P<value>-?[0-9.]+)"
@@ -96,11 +82,13 @@ SLO_RE = re.compile(r"^(?P<name>[^:]+):(?P<field>[A-Za-z0-9_]+)"
 
 
 def load(path):
+    """Rows keyed by (name, mode), and the document's exact counters."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "grift-bench-v1":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
-    return {(r["name"], r["mode"]): r for r in doc["results"]}
+    return ({(r["name"], r["mode"]): r for r in doc["results"]},
+            doc.get("exact"))
 
 
 def parse_slo(spec):
@@ -212,10 +200,14 @@ def main():
         if any(s[4] for s in slos):
             ap.error("relative (K*BASELINE) SLOs need a baseline and a "
                      "current file")
-        cur = load(args.baseline)
+        cur, _ = load(args.baseline)
     else:
-        base = load(args.baseline)
-        cur = load(args.current)
+        base, base_exact = load(args.baseline)
+        cur, cur_exact = load(args.current)
+        if base_exact is None and cur_exact is None:
+            sys.exit("neither document lists its exact counters; "
+                     "regenerate one with its current harness")
+        counters = set((base_exact or []) + (cur_exact or []))
         for key in sorted(base):
             name, mode = key
             tag = f"{name} [{mode}]"
@@ -223,7 +215,7 @@ def main():
                 errors.append(f"{tag}: missing from {args.current}")
                 continue
             b, c = base[key], cur[key]
-            for counter in COUNTERS:
+            for counter in counters:
                 if counter not in b or counter not in c:
                     continue  # older schema on one side: not drift
                 if b[counter] != c[counter]:
@@ -231,9 +223,10 @@ def main():
                                   f"{b[counter]} -> {c[counter]} "
                                   "(deterministic counter; regenerate the "
                                   "baseline if this is intentional)")
-            for field in REPORTED:
-                if field in b and field in c and b[field] != c[field]:
-                    print(f"{tag}: {field} {b[field]} -> {c[field]} "
+            for field, val in b.items():
+                if (field not in counters and field not in NOT_REPORTED
+                        and field in c and c[field] != val):
+                    print(f"{tag}: {field} {val} -> {c[field]} "
                           "(run-dependent; informational only)")
             ratio = c["median_ns"] / b["median_ns"] if b["median_ns"] else 1.0
             note = ""

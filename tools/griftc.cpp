@@ -30,9 +30,8 @@
 ///                    allocation and every Nth cast application
 ///   --gc-nursery=N   nursery size in bytes (k/m/g suffixes accepted);
 ///                    0 disables the generational layer entirely
-///   --gc-stats       print the GC profile after the run: collection
-///                    counts, pause totals/max, promotion volume,
-///                    remembered-set peak, per-phase pause histograms
+///   --gc-stats       print every GC counter (collections, pauses,
+///                    promotion, pause histograms) after the run
 ///   --fail-alloc=N   inject an allocation failure at allocation #N
 ///
 /// Persistent store (src/store):
@@ -55,13 +54,13 @@
 #include "refinterp/RefInterp.h"
 #include "service/Watchdog.h"
 #include "store/Store.h"
+#include "support/StringUtil.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -96,29 +95,6 @@ int exitForError(grift::ErrorKind Kind) {
   return Kind == grift::ErrorKind::Cancelled ? 4 : 3;
 }
 
-/// Parses "--opt=123" style values with an optional k/m/g size suffix.
-bool parseSize(const std::string &Arg, const char *Prefix, uint64_t &Out) {
-  size_t Len = std::strlen(Prefix);
-  if (Arg.compare(0, Len, Prefix) != 0)
-    return false;
-  const char *S = Arg.c_str() + Len;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S)
-    return false;
-  uint64_t Scale = 1;
-  if (*End == 'k' || *End == 'K')
-    Scale = 1ull << 10, ++End;
-  else if (*End == 'm' || *End == 'M')
-    Scale = 1ull << 20, ++End;
-  else if (*End == 'g' || *End == 'G')
-    Scale = 1ull << 30, ++End;
-  if (*End != '\0')
-    return false;
-  Out = V * Scale;
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -139,34 +115,24 @@ int main(int Argc, char **Argv) {
   RunLimits Limits;
   FaultInjector Injector;
   int64_t DeadlineNanos = 0;
-  uint64_t Tmp = 0;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (parseSize(Arg, "--max-steps=", Tmp)) {
-      Limits.MaxSteps = Tmp;
-    } else if (parseSize(Arg, "--deadline-ms=", Tmp)) {
-      DeadlineNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseSize(Arg, "--max-heap=", Tmp)) {
-      Limits.MaxHeapBytes = static_cast<size_t>(Tmp);
-    } else if (parseSize(Arg, "--max-depth=", Tmp)) {
-      Limits.MaxFrames = static_cast<uint32_t>(Tmp);
-    } else if (parseSize(Arg, "--max-wall-ms=", Tmp)) {
-      Limits.MaxWallNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseSize(Arg, "--gc-torture=", Tmp)) {
-      Injector.GCTorturePeriod = Tmp;
-    } else if (parseSize(Arg, "--gc-minor-torture=", Tmp)) {
-      Injector.MinorGCTorturePeriod = Tmp;
-    } else if (parseSize(Arg, "--gc-nursery=", Tmp)) {
-      Limits.GCNurseryBytes = static_cast<size_t>(Tmp);
+    if (parseFlag(Arg, "--max-steps=", Limits.MaxSteps) ||
+        parseMillisFlag(Arg, "--deadline-ms=", DeadlineNanos) ||
+        parseFlag(Arg, "--max-heap=", Limits.MaxHeapBytes) ||
+        parseFlag(Arg, "--max-depth=", Limits.MaxFrames) ||
+        parseMillisFlag(Arg, "--max-wall-ms=", Limits.MaxWallNanos) ||
+        parseFlag(Arg, "--gc-torture=", Injector.GCTorturePeriod) ||
+        parseFlag(Arg, "--gc-minor-torture=", Injector.MinorGCTorturePeriod) ||
+        parseFlag(Arg, "--gc-nursery=", Limits.GCNurseryBytes) ||
+        parseFlag(Arg, "--fail-alloc=", Injector.FailAllocAt) ||
+        parseFlag(Arg, "--cache-max-bytes=", CacheMaxBytes)) {
+      // Numeric flags: k/m/g suffixes, range-checked (support/StringUtil).
     } else if (Arg == "--gc-stats") {
       GCStats = true;
-    } else if (parseSize(Arg, "--fail-alloc=", Tmp)) {
-      Injector.FailAllocAt = Tmp;
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       CacheDir = Arg.substr(12);
-    } else if (parseSize(Arg, "--cache-max-bytes=", Tmp)) {
-      CacheMaxBytes = Tmp;
     } else if (Arg == "--store-verify") {
       StoreVerify = true;
     } else if (Arg.rfind("--mode=", 0) == 0) {
@@ -203,7 +169,8 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 0;
     } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "griftc: unknown option '%s'\n", Arg.c_str());
+      std::fprintf(stderr, "griftc: unknown option or bad value '%s'\n",
+                   Arg.c_str());
       printUsage();
       return 2;
     } else {
@@ -349,43 +316,24 @@ int main(int Argc, char **Argv) {
     return exitForError(R.Error.Kind);
   }
   std::printf("=> %s\n", R.ResultText.c_str());
+  // Counter lines come from the table (support/Counters.def): each is
+  // "; <doc>: <value>", arrays space-separated.
+  auto printCounter = [](const char *Prefix, const CounterRef &C) {
+    std::printf("; %s%s:", Prefix, C.Doc);
+    for (unsigned I = 0; I != std::max(C.Size, 1u); ++I)
+      std::printf(" %llu", static_cast<unsigned long long>(C.Values[I]));
+    std::printf("\n");
+  };
   if (Stats) {
     std::printf("; mode: %s\n", castModeName(Mode));
     std::printf("; wall: %.3f ms\n", R.WallNanos / 1e6);
     if (R.Stats.TimedNanos >= 0)
       std::printf("; timed region: %.3f ms\n", R.Stats.TimedNanos / 1e6);
-    std::printf("; casts applied: %llu\n",
-                static_cast<unsigned long long>(R.Stats.CastsApplied));
-    std::printf("; compositions: %llu\n",
-                static_cast<unsigned long long>(R.Stats.Compositions));
-    std::printf("; longest proxy chain: %llu\n",
-                static_cast<unsigned long long>(R.Stats.LongestProxyChain));
-    std::printf("; proxies allocated: %llu\n",
-                static_cast<unsigned long long>(R.Stats.ProxiesAllocated));
+    forEachRunCounter(R.Stats,
+                      [&](const CounterRef &C) { printCounter("", C); });
   }
-  if (GCStats) {
-    auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
-    const RuntimeStats &S = R.Stats;
-    std::printf("; gc: alloc %llu bytes in %llu objects\n", U(S.AllocBytes),
-                U(S.allocObjects()));
-    std::printf("; gc: %llu minor / %llu major collections\n",
-                U(S.MinorCollections), U(S.Collections));
-    std::printf("; gc: minor pauses %llu ns total, %llu ns max\n",
-                U(S.GCMinorPauseTotalNs), U(S.GCMinorPauseMaxNs));
-    std::printf("; gc: all pauses %llu ns total, %llu ns max\n",
-                U(S.GCPauseTotalNs), U(S.GCPauseMaxNs));
-    std::printf("; gc: promoted %llu bytes in %llu objects\n",
-                U(S.PromotedBytes), U(S.PromotedObjects));
-    std::printf("; gc: remembered-set peak %llu\n", U(S.RememberedSetPeak));
-    // Log2 pause histograms: bucket 0 is < 1 µs, each bucket doubles.
-    auto printHist = [&](const char *Phase, const uint64_t *Hist) {
-      std::printf("; gc: %s pause histogram:", Phase);
-      for (unsigned B = 0; B != RuntimeStats::NumPauseBuckets; ++B)
-        std::printf(" %llu", U(Hist[B]));
-      std::printf("\n");
-    };
-    printHist("minor", S.MinorPauseHist);
-    printHist("major", S.MajorPauseHist);
-  }
+  if (GCStats)
+    forEachGCCounter(R.Stats,
+                     [&](const CounterRef &C) { printCounter("gc: ", C); });
   return 0;
 }

@@ -68,10 +68,10 @@
 //===----------------------------------------------------------------------===//
 #include "service/Protocol.h"
 #include "service/Server.h"
+#include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -141,24 +141,6 @@ void printHelp() {
       "--max-deadline-ms=N\n"
       "        --tenant-rps=F --tenant-burst=F --tenant-fuel-per-sec=F\n"
       "        --tenant-max-inflight=N\n");
-}
-
-bool parseUint(const std::string &Arg, const char *Prefix, uint64_t &Out) {
-  size_t Len = std::strlen(Prefix);
-  if (Arg.compare(0, Len, Prefix) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Arg.c_str() + Len, &End, 10);
-  return End != Arg.c_str() + Len && *End == '\0';
-}
-
-bool parseDouble(const std::string &Arg, const char *Prefix, double &Out) {
-  size_t Len = std::strlen(Prefix);
-  if (Arg.compare(0, Len, Prefix) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(Arg.c_str() + Len, &End);
-  return End != Arg.c_str() + Len && *End == '\0';
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,12 +284,12 @@ int runBatch(ServiceConfig Config, const std::string &ManifestPath,
                   static_cast<unsigned long long>(N));
     if (!Config.CacheDir.empty()) {
       // Only with --cache-dir, so cache-less goldens are untouched.
-      ServiceStats S = Service.stats();
-      std::printf("store: hits=%llu misses=%llu corrupt=%llu evicted=%llu\n",
-                  static_cast<unsigned long long>(S.StoreHits),
-                  static_cast<unsigned long long>(S.StoreMisses),
-                  static_cast<unsigned long long>(S.StoreCorrupt),
-                  static_cast<unsigned long long>(S.StoreEvicted));
+      store::StoreStats S = Service.stats().Store;
+      std::printf("store:");
+#define GRIFT_STORE_COUNTER(Field, Key, Doc)                                   \
+  std::printf(" " Key "=%llu", static_cast<unsigned long long>(S.Field));
+#include "support/Counters.def"
+      std::printf("\n");
     }
   }
   return Worst;
@@ -324,72 +306,50 @@ int main(int Argc, char **Argv) {
   size_t MaxLineBytes = 1u << 20;
   bool QueueDepthSet = false;
   std::string ManifestPath;
-  uint64_t Tmp = 0;
-  double TmpD = 0;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (parseUint(Arg, "--threads=", Tmp)) {
-      Exec.Threads = static_cast<unsigned>(Tmp);
-    } else if (parseUint(Arg, "--retries=", Tmp)) {
-      Exec.Retry.MaxRetries = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--breaker-threshold=", Tmp)) {
-      Exec.Breaker.FailureThreshold = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--breaker-cooldown-ms=", Tmp)) {
-      Exec.Breaker.CooldownNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseUint(Arg, "--gc-torture=", Tmp)) {
-      Exec.GCTorturePeriod = Tmp;
-    } else if (parseUint(Arg, "--gc-minor-torture=", Tmp)) {
-      Exec.MinorGCTorturePeriod = Tmp;
-    } else if (parseUint(Arg, "--fail-alloc=", Tmp)) {
-      Exec.FailAllocPeriod = Tmp;
+    if (parseFlag(Arg, "--threads=", Exec.Threads) ||
+        parseFlag(Arg, "--retries=", Exec.Retry.MaxRetries) ||
+        parseFlag(Arg, "--breaker-threshold=",
+                  Exec.Breaker.FailureThreshold) ||
+        parseMillisFlag(Arg, "--breaker-cooldown-ms=",
+                        Exec.Breaker.CooldownNanos) ||
+        parseFlag(Arg, "--gc-torture=", Exec.GCTorturePeriod) ||
+        parseFlag(Arg, "--gc-minor-torture=", Exec.MinorGCTorturePeriod) ||
+        parseFlag(Arg, "--fail-alloc=", Exec.FailAllocPeriod) ||
+        parseFlag(Arg, "--cache-max-bytes=", Exec.CacheMaxBytes) ||
+        parseFlag(Arg, "--file-short-write=", Exec.FileShortWriteAt) ||
+        parseFlag(Arg, "--file-fail-fsync=", Exec.FileFailFsyncAt) ||
+        parseFlag(Arg, "--file-flip-bit=", Exec.FileFlipReadBitAt) ||
+        parseFlag(Arg, "--file-flip-bit-index=", Exec.FileFlipReadBitIndex) ||
+        parseFlag(Arg, "--port=", Server.TcpPort) ||
+        parseFlag(Arg, "--max-connections=", Server.MaxConnections) ||
+        parseFlag(Arg, "--max-inflight=", Server.Admission.MaxInflight) ||
+        parseFlag(Arg, "--max-inflight-bytes=",
+                  Server.Admission.MaxInflightBytes) ||
+        parseFlag(Arg, "--max-request-bytes=", Server.MaxRequestBytes) ||
+        parseMillisFlag(Arg, "--write-timeout-ms=",
+                        Server.WriteTimeoutNanos) ||
+        parseMillisFlag(Arg, "--default-deadline-ms=",
+                        Server.DefaultDeadlineNanos) ||
+        parseMillisFlag(Arg, "--max-deadline-ms=", Server.MaxDeadlineNanos) ||
+        parseFlag(Arg, "--tenant-rps=", Server.Quota.RequestsPerSec) ||
+        parseFlag(Arg, "--tenant-burst=", Server.Quota.BurstRequests) ||
+        parseFlag(Arg, "--tenant-fuel-per-sec=", Server.Quota.FuelPerSec) ||
+        parseFlag(Arg, "--tenant-max-inflight=", Server.Quota.MaxInflight) ||
+        parseFlag(Arg, "--max-line-bytes=", MaxLineBytes)) {
+      // Numeric flags: k/m/g suffixes, range-checked (support/StringUtil).
+    } else if (parseFlag(Arg, "--queue-depth=", Exec.MaxQueueDepth)) {
+      QueueDepthSet = true;
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Exec.CacheDir = Arg.substr(12);
-    } else if (parseUint(Arg, "--cache-max-bytes=", Tmp)) {
-      Exec.CacheMaxBytes = Tmp;
-    } else if (parseUint(Arg, "--file-short-write=", Tmp)) {
-      Exec.FileShortWriteAt = Tmp;
-    } else if (parseUint(Arg, "--file-fail-fsync=", Tmp)) {
-      Exec.FileFailFsyncAt = Tmp;
-    } else if (parseUint(Arg, "--file-flip-bit=", Tmp)) {
-      Exec.FileFlipReadBitAt = Tmp;
-    } else if (parseUint(Arg, "--file-flip-bit-index=", Tmp)) {
-      Exec.FileFlipReadBitIndex = Tmp;
     } else if (Arg == "--no-cache") {
       Exec.CompileCache = false;
     } else if (Arg == "--serve") {
       Serve = true;
     } else if (Arg.rfind("--socket=", 0) == 0) {
       Server.UnixSocketPath = Arg.substr(9);
-    } else if (parseUint(Arg, "--port=", Tmp)) {
-      Server.TcpPort = static_cast<uint16_t>(Tmp);
-    } else if (parseUint(Arg, "--queue-depth=", Tmp)) {
-      Exec.MaxQueueDepth = static_cast<size_t>(Tmp);
-      QueueDepthSet = true;
-    } else if (parseUint(Arg, "--max-connections=", Tmp)) {
-      Server.MaxConnections = static_cast<unsigned>(Tmp);
-    } else if (parseUint(Arg, "--max-inflight=", Tmp)) {
-      Server.Admission.MaxInflight = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--max-inflight-bytes=", Tmp)) {
-      Server.Admission.MaxInflightBytes = static_cast<size_t>(Tmp);
-    } else if (parseUint(Arg, "--max-request-bytes=", Tmp)) {
-      Server.MaxRequestBytes = static_cast<size_t>(Tmp);
-    } else if (parseUint(Arg, "--write-timeout-ms=", Tmp)) {
-      Server.WriteTimeoutNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseUint(Arg, "--default-deadline-ms=", Tmp)) {
-      Server.DefaultDeadlineNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseUint(Arg, "--max-deadline-ms=", Tmp)) {
-      Server.MaxDeadlineNanos = static_cast<int64_t>(Tmp) * 1000000;
-    } else if (parseDouble(Arg, "--tenant-rps=", TmpD)) {
-      Server.Quota.RequestsPerSec = TmpD;
-    } else if (parseDouble(Arg, "--tenant-burst=", TmpD)) {
-      Server.Quota.BurstRequests = TmpD;
-    } else if (parseDouble(Arg, "--tenant-fuel-per-sec=", TmpD)) {
-      Server.Quota.FuelPerSec = TmpD;
-    } else if (parseUint(Arg, "--tenant-max-inflight=", Tmp)) {
-      Server.Quota.MaxInflight = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--max-line-bytes=", Tmp)) {
-      MaxLineBytes = static_cast<size_t>(Tmp);
     } else if (Arg == "--summary") {
       Summary = true;
     } else if (Arg == "--summary-only") {
@@ -398,7 +358,8 @@ int main(int Argc, char **Argv) {
       printHelp();
       return 0;
     } else if (Arg.size() > 1 && Arg[0] == '-' && Arg != "-") {
-      std::fprintf(stderr, "griftd: unknown option '%s'\n", Arg.c_str());
+      std::fprintf(stderr, "griftd: unknown option or bad value '%s'\n",
+                   Arg.c_str());
       printUsage();
       return 2;
     } else {

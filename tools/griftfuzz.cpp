@@ -45,7 +45,9 @@
 #include "fuzz/FuzzGen.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Shrink.h"
+#include "support/StringUtil.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -84,16 +86,6 @@ void printUsage() {
                "                 [--quiet] [--gc-torture=N]\n"
                "                 [--gc-minor-torture=N] [--gc-nursery=BYTES]\n"
                "                 [--gc-differential]\n");
-}
-
-bool parseUnsigned(const std::string &Arg, const char *Prefix,
-                   uint64_t &Out) {
-  size_t Len = std::strlen(Prefix);
-  if (Arg.compare(0, Len, Prefix) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Arg.c_str() + Len, &End, 10);
-  return End && *End == '\0' && End != Arg.c_str() + Len;
 }
 
 /// Spreads iteration indices across the seed space so neighbouring base
@@ -222,35 +214,28 @@ int main(int Argc, char **Argv) {
   Options Opts;
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
-    uint64_t Value = 0;
     if (Arg == "--oracle=lattice") {
       Opts.RunBlame = false;
     } else if (Arg == "--oracle=blame") {
       Opts.RunLattice = false;
     } else if (Arg == "--oracle=all") {
       Opts.RunLattice = Opts.RunBlame = true;
-    } else if (parseUnsigned(Arg, "--iters=", Value)) {
-      Opts.Iters = Value;
-    } else if (parseUnsigned(Arg, "--budget-ms=", Value)) {
-      Opts.BudgetMs = Value;
-    } else if (parseUnsigned(Arg, "--seed=", Value)) {
-      Opts.Seed = Value;
-    } else if (parseUnsigned(Arg, "--bins=", Value)) {
-      Opts.Oracle.Bins = static_cast<unsigned>(Value);
-    } else if (parseUnsigned(Arg, "--per-bin=", Value)) {
-      Opts.Oracle.PerBin = static_cast<unsigned>(Value);
-    } else if (parseUnsigned(Arg, "--coarse-max=", Value)) {
-      Opts.Oracle.CoarseMax = static_cast<unsigned>(Value);
-    } else if (parseUnsigned(Arg, "--shrink-attempts=", Value)) {
-      Opts.Oracle.ShrinkAttempts = static_cast<unsigned>(Value);
-    } else if (parseUnsigned(Arg, "--max-failures=", Value)) {
-      Opts.MaxFailures = Value ? static_cast<unsigned>(Value) : 1;
-    } else if (parseUnsigned(Arg, "--gc-torture=", Value)) {
-      Opts.Oracle.GCTorturePeriod = Value;
-    } else if (parseUnsigned(Arg, "--gc-minor-torture=", Value)) {
-      Opts.Oracle.MinorGCTorturePeriod = Value;
-    } else if (parseUnsigned(Arg, "--gc-nursery=", Value)) {
-      Opts.Oracle.Limits.GCNurseryBytes = static_cast<size_t>(Value);
+    } else if (parseFlag(Arg, "--iters=", Opts.Iters) ||
+               parseFlag(Arg, "--budget-ms=", Opts.BudgetMs) ||
+               parseFlag(Arg, "--seed=", Opts.Seed) ||
+               parseFlag(Arg, "--bins=", Opts.Oracle.Bins) ||
+               parseFlag(Arg, "--per-bin=", Opts.Oracle.PerBin) ||
+               parseFlag(Arg, "--coarse-max=", Opts.Oracle.CoarseMax) ||
+               parseFlag(Arg, "--shrink-attempts=",
+                         Opts.Oracle.ShrinkAttempts) ||
+               parseFlag(Arg, "--gc-torture=", Opts.Oracle.GCTorturePeriod) ||
+               parseFlag(Arg, "--gc-minor-torture=",
+                         Opts.Oracle.MinorGCTorturePeriod) ||
+               parseFlag(Arg, "--gc-nursery=",
+                         Opts.Oracle.Limits.GCNurseryBytes)) {
+      // Numeric flags: k/m/g suffixes, range-checked (support/StringUtil).
+    } else if (parseFlag(Arg, "--max-failures=", Opts.MaxFailures)) {
+      Opts.MaxFailures = std::max(Opts.MaxFailures, 1u);
     } else if (Arg == "--gc-differential") {
       Opts.Oracle.GCDifferential = true;
     } else if (Arg == "--no-shrink") {
@@ -263,7 +248,7 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 0;
     } else {
-      std::fprintf(stderr, "griftfuzz: unknown argument '%s'\n",
+      std::fprintf(stderr, "griftfuzz: unknown argument or bad value '%s'\n",
                    Arg.c_str());
       printUsage();
       return 2;

@@ -43,6 +43,7 @@
 #include "grift/Grift.h"
 #include "service/Protocol.h"
 #include "support/Json.h"
+#include "support/StringUtil.h"
 
 #include <algorithm>
 #include <atomic>
@@ -68,15 +69,6 @@ using namespace grift::service::protocol;
 namespace {
 
 const char *DivergentLoop = "(letrec ([loop (lambda () (loop))]) (loop))";
-
-bool parseUint(const std::string &Arg, const char *Prefix, uint64_t &Out) {
-  size_t Len = std::strlen(Prefix);
-  if (Arg.compare(0, Len, Prefix) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Arg.c_str() + Len, &End, 10);
-  return End != Arg.c_str() + Len && *End == '\0';
-}
 
 //===----------------------------------------------------------------------===//
 // Client connection (Unix socket, blocking, 60 s read bound).
@@ -294,7 +286,6 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = 1;
   double MaxShedRate = -1;
   uint64_t MinOk = 0;
-  uint64_t Tmp = 0;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -308,29 +299,23 @@ int main(int Argc, char **Argv) {
       OutPath = Arg.substr(6);
     else if (Arg.rfind("--name=", 0) == 0)
       Name = Arg.substr(7);
-    else if (parseUint(Arg, "--conns=", Tmp))
-      Conns = static_cast<unsigned>(Tmp);
-    else if (parseUint(Arg, "--requests=", Tmp))
-      Requests = static_cast<unsigned>(Tmp);
-    else if (parseUint(Arg, "--tenants=", Tmp))
-      Tenants = std::max(1u, static_cast<unsigned>(Tmp));
-    else if (parseUint(Arg, "--deadline-ms=", Tmp))
-      DeadlineMs = static_cast<unsigned>(Tmp);
-    else if (parseUint(Arg, "--wedged-pct=", Tmp))
-      WedgedPct = static_cast<unsigned>(Tmp);
-    else if (parseUint(Arg, "--hostile-pct=", Tmp))
-      HostilePct = static_cast<unsigned>(Tmp);
-    else if (parseUint(Arg, "--seed=", Tmp))
-      Seed = Tmp;
-    else if (parseUint(Arg, "--min-ok=", Tmp))
-      MinOk = Tmp;
-    else if (Arg.rfind("--max-shed-rate=", 0) == 0)
-      MaxShedRate = std::strtod(Arg.c_str() + 16, nullptr);
+    else if (parseFlag(Arg, "--conns=", Conns) ||
+             parseFlag(Arg, "--requests=", Requests) ||
+             parseFlag(Arg, "--tenants=", Tenants) ||
+             parseFlag(Arg, "--deadline-ms=", DeadlineMs) ||
+             parseFlag(Arg, "--wedged-pct=", WedgedPct) ||
+             parseFlag(Arg, "--hostile-pct=", HostilePct) ||
+             parseFlag(Arg, "--seed=", Seed) ||
+             parseFlag(Arg, "--min-ok=", MinOk) ||
+             parseFlag(Arg, "--max-shed-rate=", MaxShedRate))
+      continue; // numeric flags: support/StringUtil's shared parser
     else {
-      std::fprintf(stderr, "griftload: unknown option '%s'\n", Arg.c_str());
+      std::fprintf(stderr, "griftload: unknown option or bad value '%s'\n",
+                   Arg.c_str());
       return 2;
     }
   }
+  Tenants = std::max(1u, Tenants);
   if (GriftdPath.empty() == SocketPath.empty()) {
     std::fprintf(stderr,
                  "griftload: exactly one of --griftd= or --socket= needed\n");
@@ -449,7 +434,7 @@ int main(int Argc, char **Argv) {
 
   std::ostringstream Json;
   Json << "{\n  \"schema\": \"grift-bench-v1\",\n  \"repeats\": 1,\n"
-       << "  \"results\": [\n"
+       << "  \"exact\": [],\n  \"results\": [\n"
        << "    {\"name\": \"" << Name << "\", \"mode\": \"coercions\""
        << ", \"median_ns\": " << P50 << ", \"p50_ns\": " << P50
        << ", \"p99_ns\": " << P99 << ", \"p999_ns\": " << P999
@@ -461,12 +446,11 @@ int main(int Argc, char **Argv) {
        << ", \"quota_rejects\": " << statOf(Stats, "quota_rejects")
        << ", \"watchdog_kills\": " << statOf(Stats, "watchdog_kills")
        << ", \"deadline_expired\": " << statOf(Stats, "deadline_expired")
-       << ", \"slow_client_drops\": " << statOf(Stats, "slow_client_drops")
-       << ", \"store_hits\": " << statOf(Stats, "store_hits")
-       << ", \"store_misses\": " << statOf(Stats, "store_misses")
-       << ", \"store_corrupt\": " << statOf(Stats, "store_corrupt")
-       << ", \"store_evicted\": " << statOf(Stats, "store_evicted")
-       << ", \"wall_ns\": " << LoadNanos << "}\n  ]\n}\n";
+       << ", \"slow_client_drops\": " << statOf(Stats, "slow_client_drops");
+#define GRIFT_STORE_COUNTER(Field, Key, Doc)                                   \
+  Json << ", \"store_" Key "\": " << statOf(Stats, "store_" Key);
+#include "support/Counters.def"
+  Json << ", \"wall_ns\": " << LoadNanos << "}\n  ]\n}\n";
 
   if (OutPath.empty()) {
     std::fputs(Json.str().c_str(), stdout);
