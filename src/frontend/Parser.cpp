@@ -10,28 +10,17 @@ using namespace grift;
 
 namespace {
 
-/// Names that cannot be used as variables because they head special forms.
-bool isKeyword(std::string_view Name) {
-  static const char *Keywords[] = {
-      "define", "lambda",        "let",        "letrec",      "if",
-      "begin",  "repeat",        "time",       "tuple",       "tuple-proj",
-      "box",    "unbox",         "box-set!",   "make-vector", "vector-ref",
-      "vector-set!", "vector-length", "ann",   "and",         "or",
-      "when",   "unless",        "cond",       "else",        ":"};
-  for (const char *Keyword : Keywords)
-    if (Name == Keyword)
-      return true;
-  return false;
-}
-
 class Parser {
 public:
-  Parser(TypeContext &Ctx, DiagnosticEngine &Diags) : Ctx(Ctx), Diags(Diags) {}
+  Parser(TypeContext &Ctx, const SexpDocument &Doc, DiagnosticEngine &Diags)
+      : Ctx(Ctx), Diags(Diags), PrimOf(Doc.numSymbols(), UnknownPrim) {}
 
-  std::optional<Program> parseProgram(const std::vector<Sexp> &Data) {
+  std::optional<Program> parseProgram(const SexpDocument &Data) {
     Program Prog;
-    for (const Sexp &Datum : Data) {
-      if (Datum.isList() && Datum.size() >= 1 && Datum[0].isSymbol("define")) {
+    for (size_t I = 0; I != Data.size(); ++I) {
+      SexpRef Datum = Data[I];
+      if (Datum.isList() && Datum.size() >= 1 &&
+          Datum[0].isSymbol(Sym::Define)) {
         std::optional<Define> D = parseDefine(Datum);
         if (!D)
           return std::nullopt;
@@ -49,9 +38,9 @@ public:
     return Prog;
   }
 
-  ExprPtr parse(const Sexp &Datum) {
+  ExprPtr parse(SexpRef Datum) {
     switch (Datum.kind()) {
-    case Sexp::Kind::Int:
+    case SexpKind::Int:
       // Fixnums are 48-bit payloads under NaN-boxing; reject literals the
       // runtime cannot represent rather than silently truncating them.
       if (Datum.intValue() > Value::FixnumMax ||
@@ -60,21 +49,21 @@ public:
                      "integer literal " + std::to_string(Datum.intValue()) +
                          " is outside the fixnum range [-2^47, 2^47)");
       return makeLitInt(Datum.intValue(), Datum.loc());
-    case Sexp::Kind::Float:
+    case SexpKind::Float:
       return makeLitFloat(Datum.floatValue(), Datum.loc());
-    case Sexp::Kind::Bool:
+    case SexpKind::Bool:
       return makeLitBool(Datum.boolValue(), Datum.loc());
-    case Sexp::Kind::Char:
+    case SexpKind::Char:
       return makeLitChar(Datum.charValue(), Datum.loc());
-    case Sexp::Kind::String:
+    case SexpKind::String:
       return error(Datum.loc(), "string literals are not GTLC+ expressions");
-    case Sexp::Kind::Symbol: {
-      const std::string &Name = Datum.symbol();
-      if (isKeyword(Name) || lookupPrim(Name))
-        return error(Datum.loc(), "'" + Name + "' used as a variable");
-      return makeVar(Name, Datum.loc());
+    case SexpKind::Symbol: {
+      if (isKeyword(Datum.sym()) || primOf(Datum))
+        return error(Datum.loc(), std::string("'").append(Datum.symbol()) +
+                                      "' used as a variable");
+      return makeVar(std::string(Datum.symbol()), Datum.loc());
     }
-    case Sexp::Kind::List:
+    case SexpKind::List:
       if (Datum.isEmptyList())
         return makeLitUnit(Datum.loc());
       return parseForm(Datum);
@@ -85,29 +74,42 @@ public:
 private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
+  /// The primitive each symbol id names, looked up on first use.
+  static constexpr int16_t UnknownPrim = -2, NoPrim = -1;
+  std::vector<int16_t> PrimOf;
+
+  std::optional<PrimOp> primOf(SexpRef Symbol) {
+    int16_t &Cached = PrimOf[static_cast<size_t>(Symbol.sym())];
+    if (Cached == UnknownPrim) {
+      std::optional<PrimOp> Op = lookupPrim(Symbol.symbol());
+      Cached = Op ? static_cast<int16_t>(*Op) : NoPrim;
+    }
+    if (Cached == NoPrim)
+      return std::nullopt;
+    return static_cast<PrimOp>(Cached);
+  }
 
   ExprPtr error(SourceLoc Loc, std::string Message) {
     Diags.error(Loc, std::move(Message));
     return nullptr;
   }
 
-  const Type *parseTypeAt(const Sexp &Datum) {
+  const Type *parseTypeAt(SexpRef Datum) {
     return parseType(Ctx, Datum, Diags);
   }
 
   /// Parses `elems[I] == ':'` followed by a type; on success advances \p I
   /// past both and returns the type. Returns nullptr without error if no
   /// colon is present; sets \p Bad on malformed annotation.
-  const Type *parseOptionalAnnot(const Sexp &List, size_t &I, bool &Bad) {
-    const auto &Elements = List.elements();
-    if (I >= Elements.size() || !Elements[I].isSymbol(":"))
+  const Type *parseOptionalAnnot(SexpRef List, size_t &I, bool &Bad) {
+    if (I >= List.size() || !List[I].isSymbol(Sym::Colon))
       return nullptr;
-    if (I + 1 >= Elements.size()) {
+    if (I + 1 >= List.size()) {
       Diags.error(List.loc(), "':' must be followed by a type");
       Bad = true;
       return nullptr;
     }
-    const Type *T = parseTypeAt(Elements[I + 1]);
+    const Type *T = parseTypeAt(List[I + 1]);
     if (!T) {
       Bad = true;
       return nullptr;
@@ -116,19 +118,19 @@ private:
     return T;
   }
 
-  std::optional<Param> parseParam(const Sexp &Datum) {
+  std::optional<Param> parseParam(SexpRef Datum) {
     if (Datum.isSymbol()) {
-      if (isKeyword(Datum.symbol()))
+      if (isKeyword(Datum.sym()))
         Diags.error(Datum.loc(), "keyword used as parameter name");
-      return Param{Datum.symbol(), nullptr, Datum.loc()};
+      return Param{std::string(Datum.symbol()), nullptr, Datum.loc()};
     }
     // [x : T]
     if (Datum.isList() && Datum.size() == 3 && Datum[0].isSymbol() &&
-        Datum[1].isSymbol(":")) {
+        Datum[1].isSymbol(Sym::Colon)) {
       const Type *T = parseTypeAt(Datum[2]);
       if (!T)
         return std::nullopt;
-      return Param{Datum[0].symbol(), T, Datum.loc()};
+      return Param{std::string(Datum[0].symbol()), T, Datum.loc()};
     }
     Diags.error(Datum.loc(), "malformed parameter, expected x or [x : T]");
     return std::nullopt;
@@ -136,15 +138,14 @@ private:
 
   /// Parses a body sequence starting at \p Start; wraps multiple
   /// expressions in an implicit begin.
-  ExprPtr parseBody(const Sexp &List, size_t Start) {
-    const auto &Elements = List.elements();
-    if (Start >= Elements.size())
+  ExprPtr parseBody(SexpRef List, size_t Start) {
+    if (Start >= List.size())
       return error(List.loc(), "empty body");
-    if (Start + 1 == Elements.size())
-      return parse(Elements[Start]);
+    if (Start + 1 == List.size())
+      return parse(List[Start]);
     std::vector<ExprPtr> Seq;
-    for (size_t I = Start; I != Elements.size(); ++I) {
-      ExprPtr E = parse(Elements[I]);
+    for (size_t I = Start; I != List.size(); ++I) {
+      ExprPtr E = parse(List[I]);
       if (!E)
         return nullptr;
       Seq.push_back(std::move(E));
@@ -152,7 +153,7 @@ private:
     return makeNode(ExprKind::Begin, std::move(Seq), List.loc());
   }
 
-  std::optional<Define> parseDefine(const Sexp &Datum) {
+  std::optional<Define> parseDefine(SexpRef Datum) {
     // (define x : T E) | (define x E) | (define (f P...) (: T)? E...)
     if (Datum.size() < 3) {
       Diags.error(Datum.loc(), "malformed define");
@@ -161,7 +162,7 @@ private:
     Define D;
     D.Loc = Datum.loc();
     if (Datum[1].isSymbol()) {
-      D.Name = Datum[1].symbol();
+      D.Name = std::string(Datum[1].symbol());
       size_t I = 2;
       bool Bad = false;
       D.Annot = parseOptionalAnnot(Datum, I, Bad);
@@ -181,8 +182,8 @@ private:
       return std::nullopt;
     }
     // Function form: desugar to a lambda.
-    const Sexp &Header = Datum[1];
-    D.Name = Header[0].symbol();
+    SexpRef Header = Datum[1];
+    D.Name = std::string(Header[0].symbol());
     auto Lambda = std::make_unique<Expr>();
     Lambda->Kind = ExprKind::Lambda;
     Lambda->Loc = Datum.loc();
@@ -205,62 +206,70 @@ private:
     return D;
   }
 
-  ExprPtr parseForm(const Sexp &Datum) {
-    const Sexp &Head = Datum[0];
+  ExprPtr parseForm(SexpRef Datum) {
+    SexpRef Head = Datum[0];
     if (!Head.isSymbol())
       return parseApp(Datum);
-    const std::string &Name = Head.symbol();
-
-    if (std::optional<PrimOp> Op = lookupPrim(Name))
+    if (std::optional<PrimOp> Op = primOf(Head))
       return parsePrim(Datum, *Op);
-    if (Name == "if")
+    switch (Head.sym()) {
+    case Sym::If:
       return parseIf(Datum);
-    if (Name == "lambda")
+    case Sym::Lambda:
       return parseLambda(Datum);
-    if (Name == "let" || Name == "letrec")
-      return parseLet(Datum, Name == "letrec");
-    if (Name == "begin")
+    case Sym::Let:
+      return parseLet(Datum, false);
+    case Sym::Letrec:
+      return parseLet(Datum, true);
+    case Sym::Begin:
       return parseBegin(Datum);
-    if (Name == "repeat")
+    case Sym::Repeat:
       return parseRepeat(Datum);
-    if (Name == "time")
+    case Sym::Time:
       return parseUnary(Datum, ExprKind::Time);
-    if (Name == "tuple")
+    case Sym::Tuple:
       return parseTuple(Datum);
-    if (Name == "tuple-proj")
+    case Sym::TupleProj:
       return parseTupleProj(Datum);
-    if (Name == "box")
+    case Sym::Box:
       return parseUnary(Datum, ExprKind::BoxE);
-    if (Name == "unbox")
+    case Sym::Unbox:
       return parseUnary(Datum, ExprKind::Unbox);
-    if (Name == "box-set!")
+    case Sym::BoxSet:
       return parseNary(Datum, ExprKind::BoxSet, 2);
-    if (Name == "make-vector")
+    case Sym::MakeVector:
       return parseNary(Datum, ExprKind::MakeVect, 2);
-    if (Name == "vector-ref")
+    case Sym::VectorRef:
       return parseNary(Datum, ExprKind::VectRef, 2);
-    if (Name == "vector-set!")
+    case Sym::VectorSet:
       return parseNary(Datum, ExprKind::VectSet, 3);
-    if (Name == "vector-length")
+    case Sym::VectorLength:
       return parseUnary(Datum, ExprKind::VectLen);
-    if (Name == "ann")
+    case Sym::Ann:
       return parseAnn(Datum);
-    if (Name == "and" || Name == "or")
-      return parseAndOr(Datum, Name == "and");
-    if (Name == "when" || Name == "unless")
-      return parseWhen(Datum, Name == "unless");
-    if (Name == "cond")
+    case Sym::And:
+      return parseAndOr(Datum, true);
+    case Sym::Or:
+      return parseAndOr(Datum, false);
+    case Sym::When:
+      return parseWhen(Datum, false);
+    case Sym::Unless:
+      return parseWhen(Datum, true);
+    case Sym::Cond:
       return parseCond(Datum);
-    if (Name == "define")
+    case Sym::Define:
       return error(Datum.loc(), "define is only allowed at the top level");
+    default:
+      break;
+    }
     return parseApp(Datum);
   }
 
-  ExprPtr parseApp(const Sexp &Datum) {
+  ExprPtr parseApp(SexpRef Datum) {
     std::vector<ExprPtr> Parts;
     Parts.reserve(Datum.size());
-    for (const Sexp &Element : Datum.elements()) {
-      ExprPtr E = parse(Element);
+    for (size_t I = 0; I != Datum.size(); ++I) {
+      ExprPtr E = parse(Datum[I]);
       if (!E)
         return nullptr;
       Parts.push_back(std::move(E));
@@ -268,7 +277,7 @@ private:
     return makeNode(ExprKind::App, std::move(Parts), Datum.loc());
   }
 
-  ExprPtr parsePrim(const Sexp &Datum, PrimOp Op) {
+  ExprPtr parsePrim(SexpRef Datum, PrimOp Op) {
     unsigned Arity = primArity(Op);
     if (Datum.size() != Arity + 1)
       return error(Datum.loc(), std::string(primName(Op)) + " expects " +
@@ -286,13 +295,13 @@ private:
     return Node;
   }
 
-  ExprPtr parseIf(const Sexp &Datum) {
+  ExprPtr parseIf(SexpRef Datum) {
     if (Datum.size() != 4)
       return error(Datum.loc(), "if takes exactly three sub-expressions");
     return parseNary(Datum, ExprKind::If, 3);
   }
 
-  ExprPtr parseNary(const Sexp &Datum, ExprKind Kind, size_t Arity) {
+  ExprPtr parseNary(SexpRef Datum, ExprKind Kind, size_t Arity) {
     if (Datum.size() != Arity + 1)
       return error(Datum.loc(), "form expects " + std::to_string(Arity) +
                                     " sub-expressions");
@@ -306,18 +315,18 @@ private:
     return makeNode(Kind, std::move(Subs), Datum.loc());
   }
 
-  ExprPtr parseUnary(const Sexp &Datum, ExprKind Kind) {
+  ExprPtr parseUnary(SexpRef Datum, ExprKind Kind) {
     return parseNary(Datum, Kind, 1);
   }
 
-  ExprPtr parseLambda(const Sexp &Datum) {
+  ExprPtr parseLambda(SexpRef Datum) {
     if (Datum.size() < 3 || !Datum[1].isList())
       return error(Datum.loc(), "malformed lambda");
     auto Lambda = std::make_unique<Expr>();
     Lambda->Kind = ExprKind::Lambda;
     Lambda->Loc = Datum.loc();
-    for (const Sexp &P : Datum[1].elements()) {
-      std::optional<Param> Parsed = parseParam(P);
+    for (size_t I = 0; I != Datum[1].size(); ++I) {
+      std::optional<Param> Parsed = parseParam(Datum[1][I]);
       if (!Parsed)
         return nullptr;
       Lambda->Params.push_back(std::move(*Parsed));
@@ -334,18 +343,19 @@ private:
     return Lambda;
   }
 
-  ExprPtr parseLet(const Sexp &Datum, bool IsRec) {
+  ExprPtr parseLet(SexpRef Datum, bool IsRec) {
     if (Datum.size() < 3 || !Datum[1].isList())
       return error(Datum.loc(), "malformed let");
     auto Node = std::make_unique<Expr>();
     Node->Kind = IsRec ? ExprKind::Letrec : ExprKind::Let;
     Node->Loc = Datum.loc();
-    for (const Sexp &BindDatum : Datum[1].elements()) {
+    for (size_t K = 0; K != Datum[1].size(); ++K) {
+      SexpRef BindDatum = Datum[1][K];
       if (!BindDatum.isList() || BindDatum.size() < 2 ||
           !BindDatum[0].isSymbol())
         return error(BindDatum.loc(), "malformed binding, expected [x (: T)? E]");
       Binding B;
-      B.Name = BindDatum[0].symbol();
+      B.Name = std::string(BindDatum[0].symbol());
       B.Loc = BindDatum.loc();
       size_t I = 1;
       bool Bad = false;
@@ -366,7 +376,7 @@ private:
     return Node;
   }
 
-  ExprPtr parseBegin(const Sexp &Datum) {
+  ExprPtr parseBegin(SexpRef Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "begin needs at least one expression");
     std::vector<ExprPtr> Seq;
@@ -379,7 +389,7 @@ private:
     return makeNode(ExprKind::Begin, std::move(Seq), Datum.loc());
   }
 
-  ExprPtr parseRepeat(const Sexp &Datum) {
+  ExprPtr parseRepeat(SexpRef Datum) {
     // (repeat (x lo hi) [(acc (: T)? init)] body)
     if (Datum.size() < 3 || Datum.size() > 4 || !Datum[1].isList() ||
         Datum[1].size() != 3 || !Datum[1][0].isSymbol())
@@ -388,7 +398,7 @@ private:
     auto Node = std::make_unique<Expr>();
     Node->Kind = ExprKind::Repeat;
     Node->Loc = Datum.loc();
-    Node->Name = Datum[1][0].symbol();
+    Node->Name = std::string(Datum[1][0].symbol());
     ExprPtr Lo = parse(Datum[1][1]);
     ExprPtr Hi = parse(Datum[1][2]);
     if (!Lo || !Hi)
@@ -397,11 +407,11 @@ private:
     Node->SubExprs.push_back(std::move(Hi));
     size_t BodyIndex = 2;
     if (Datum.size() == 4) {
-      const Sexp &AccDatum = Datum[2];
+      SexpRef AccDatum = Datum[2];
       if (!AccDatum.isList() || AccDatum.size() < 2 || !AccDatum[0].isSymbol())
         return error(AccDatum.loc(), "malformed repeat accumulator");
       Node->HasAcc = true;
-      Node->AccName = AccDatum[0].symbol();
+      Node->AccName = std::string(AccDatum[0].symbol());
       size_t I = 1;
       bool Bad = false;
       Node->AccAnnot = parseOptionalAnnot(AccDatum, I, Bad);
@@ -422,7 +432,7 @@ private:
     return Node;
   }
 
-  ExprPtr parseTuple(const Sexp &Datum) {
+  ExprPtr parseTuple(SexpRef Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "tuple needs at least one element");
     std::vector<ExprPtr> Elements;
@@ -435,8 +445,8 @@ private:
     return makeNode(ExprKind::Tuple, std::move(Elements), Datum.loc());
   }
 
-  ExprPtr parseTupleProj(const Sexp &Datum) {
-    if (Datum.size() != 3 || Datum[2].kind() != Sexp::Kind::Int)
+  ExprPtr parseTupleProj(SexpRef Datum) {
+    if (Datum.size() != 3 || Datum[2].kind() != SexpKind::Int)
       return error(Datum.loc(), "expected (tuple-proj E i) with literal index");
     ExprPtr Target = parse(Datum[1]);
     if (!Target)
@@ -451,7 +461,7 @@ private:
     return Node;
   }
 
-  ExprPtr parseAnn(const Sexp &Datum) {
+  ExprPtr parseAnn(SexpRef Datum) {
     if (Datum.size() != 3)
       return error(Datum.loc(), "expected (ann E T)");
     ExprPtr Body = parse(Datum[1]);
@@ -468,13 +478,13 @@ private:
   }
 
   /// (and a b ...) => (if a (and b ...) #f); (or a b ...) dually.
-  ExprPtr parseAndOr(const Sexp &Datum, bool IsAnd) {
+  ExprPtr parseAndOr(SexpRef Datum, bool IsAnd) {
     if (Datum.size() < 3)
       return error(Datum.loc(), "and/or need at least two operands");
     return buildAndOr(Datum, 1, IsAnd);
   }
 
-  ExprPtr buildAndOr(const Sexp &Datum, size_t Index, bool IsAnd) {
+  ExprPtr buildAndOr(SexpRef Datum, size_t Index, bool IsAnd) {
     ExprPtr First = parse(Datum[Index]);
     if (!First)
       return nullptr;
@@ -496,7 +506,7 @@ private:
   }
 
   /// (when c e...) => (if c (begin e...) ()); unless negates.
-  ExprPtr parseWhen(const Sexp &Datum, bool Negate) {
+  ExprPtr parseWhen(SexpRef Datum, bool Negate) {
     if (Datum.size() < 3)
       return error(Datum.loc(), "when/unless need a condition and a body");
     ExprPtr Cond = parse(Datum[1]);
@@ -519,19 +529,19 @@ private:
 
   /// (cond [c e...] ... [else e...]) => nested ifs; a missing else arm
   /// defaults to ().
-  ExprPtr parseCond(const Sexp &Datum) {
+  ExprPtr parseCond(SexpRef Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "cond needs at least one clause");
     return buildCond(Datum, 1);
   }
 
-  ExprPtr buildCond(const Sexp &Datum, size_t Index) {
+  ExprPtr buildCond(SexpRef Datum, size_t Index) {
     if (Index == Datum.size())
       return makeLitUnit(Datum.loc());
-    const Sexp &Clause = Datum[Index];
+    SexpRef Clause = Datum[Index];
     if (!Clause.isList() || Clause.size() < 2)
       return error(Clause.loc(), "malformed cond clause");
-    if (Clause[0].isSymbol("else")) {
+    if (Clause[0].isSymbol(Sym::Else)) {
       if (Index + 1 != Datum.size())
         return error(Clause.loc(), "else must be the last cond clause");
       return parseBody(Clause, 1);
@@ -558,20 +568,20 @@ private:
 std::optional<Program> grift::parseProgram(TypeContext &Ctx,
                                            std::string_view Source,
                                            DiagnosticEngine &Diags) {
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpDocument Data = readSexps(Source, Diags);
   if (Diags.hasErrors())
     return std::nullopt;
-  return Parser(Ctx, Diags).parseProgram(Data);
+  return Parser(Ctx, Data, Diags).parseProgram(Data);
 }
 
 ExprPtr grift::parseExpr(TypeContext &Ctx, std::string_view Source,
                          DiagnosticEngine &Diags) {
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpDocument Data = readSexps(Source, Diags);
   if (Diags.hasErrors())
     return nullptr;
   if (Data.size() != 1) {
     Diags.error(SourceLoc(), "expected exactly one expression");
     return nullptr;
   }
-  return Parser(Ctx, Diags).parse(Data[0]);
+  return Parser(Ctx, Data, Diags).parse(Data[0]);
 }

@@ -6,10 +6,15 @@
 using namespace grift;
 using namespace grift::service;
 
+unsigned ServiceConfig::workerCount() const {
+  unsigned N = Threads ? Threads
+                       : std::max(1u, std::thread::hardware_concurrency());
+  return std::min(N, MaxThreads);
+}
+
 ExecService::ExecService(ServiceConfig C)
     : Config(C),
-      Pool(C.Threads ? C.Threads
-                     : std::max(1u, std::thread::hardware_concurrency())),
+      Pool(C.workerCount()),
       Breaker(C.Breaker) {
   if (!Config.CacheDir.empty()) {
     FileFaults.ShortWriteAt = Config.FileShortWriteAt;

@@ -46,8 +46,15 @@
 namespace grift::service {
 
 struct ServiceConfig {
+  /// Ceiling on worker threads: AdmissionConfig's default MaxInflight,
+  /// since more workers than admissible jobs can never all be busy.
+  /// griftd refuses a larger --threads; ExecService clamps to it.
+  static constexpr unsigned MaxThreads = 256;
   /// Worker threads (= engine slots). 0 = hardware concurrency.
   unsigned Threads = 0;
+  /// The workers an ExecService starts: Threads, or the hardware's
+  /// thread count when 0, at most MaxThreads.
+  unsigned workerCount() const;
   RetryPolicy Retry;
   BreakerConfig Breaker;
   /// Per-slot compile cache on/off (benchmarking cold-compile paths).

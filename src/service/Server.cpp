@@ -17,6 +17,9 @@ using namespace grift;
 using namespace grift::service;
 using namespace grift::service::protocol;
 
+static_assert(ServiceConfig::MaxThreads == AdmissionConfig().MaxInflight,
+              "the worker ceiling tracks the default admission bound");
+
 namespace {
 
 void setRecvTimeout(int Fd, int64_t Nanos) {

@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The s-expression reader: turns GTLC+ source text into a vector of
-/// top-level Sexp data. Handles `;` line comments, `#|...|#` block
+/// The s-expression reader: turns GTLC+ source text into a SexpDocument
+/// of top-level data. Handles `;` line comments, `#|...|#` block
 /// comments, `[` / `]` as parenthesis synonyms (Grift style), and the
 /// literal syntaxes of Figure 5.
 ///
@@ -14,13 +14,13 @@
 #include "support/Diagnostics.h"
 
 #include <string_view>
-#include <vector>
 
 namespace grift {
 
 /// Reads every top-level datum in \p Source. Errors are reported through
-/// \p Diags; on error the returned vector holds the data read so far.
-std::vector<Sexp> readSexps(std::string_view Source, DiagnosticEngine &Diags);
+/// \p Diags; on error the returned document holds the data read so far.
+/// The document copies what it keeps, so \p Source may die first.
+SexpDocument readSexps(std::string_view Source, DiagnosticEngine &Diags);
 
 } // namespace grift
 

@@ -1,5 +1,6 @@
 #include "support/StringUtil.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -9,26 +10,48 @@
 using namespace grift;
 
 bool grift::parseInt64(std::string_view Text, int64_t &Out) {
-  if (Text.empty())
+  // Exactly strtoll's base-10 accept set over the whole of \p Text:
+  // leading white space, one optional sign, at least one digit, and a
+  // value that fits; but without copying the text.
+  size_t I = 0;
+  while (I != Text.size() && std::isspace(static_cast<unsigned char>(Text[I])))
+    ++I;
+  bool Negative = I != Text.size() && Text[I] == '-';
+  if (I != Text.size() && (Text[I] == '-' || Text[I] == '+'))
+    ++I;
+  if (I == Text.size())
     return false;
-  std::string Buf(Text);
-  errno = 0;
-  char *End = nullptr;
-  long long Value = std::strtoll(Buf.c_str(), &End, 10);
-  if (errno == ERANGE || End != Buf.c_str() + Buf.size())
-    return false;
-  Out = static_cast<int64_t>(Value);
+  uint64_t Limit = static_cast<uint64_t>(INT64_MAX) + (Negative ? 1 : 0);
+  uint64_t Magnitude = 0;
+  for (; I != Text.size(); ++I) {
+    unsigned Digit = static_cast<unsigned char>(Text[I]) - '0';
+    if (Digit > 9 || Magnitude > (Limit - Digit) / 10)
+      return false;
+    Magnitude = Magnitude * 10 + Digit;
+  }
+  Out = Negative ? static_cast<int64_t>(0 - Magnitude)
+                 : static_cast<int64_t>(Magnitude);
   return true;
 }
 
 bool grift::parseDouble(std::string_view Text, double &Out) {
   if (Text.empty())
     return false;
-  std::string Buf(Text);
+  // strtod wants a NUL-terminated string; literals fit the stack buffer.
+  char Small[64];
+  std::string Large;
+  const char *Buf = Small;
+  if (Text.size() < sizeof(Small)) {
+    std::memcpy(Small, Text.data(), Text.size());
+    Small[Text.size()] = '\0';
+  } else {
+    Large.assign(Text);
+    Buf = Large.c_str();
+  }
   errno = 0;
   char *End = nullptr;
-  double Value = std::strtod(Buf.c_str(), &End);
-  if (End != Buf.c_str() + Buf.size())
+  double Value = std::strtod(Buf, &End);
+  if (End != Buf + Text.size())
     return false;
   // ERANGE covers both overflow (result is ±HUGE_VAL) and underflow
   // (result is a representable denormal, or zero). Denormals like

@@ -7,6 +7,7 @@
 #ifndef GRIFT_SUPPORT_STRINGUTIL_H
 #define GRIFT_SUPPORT_STRINGUTIL_H
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -30,13 +31,15 @@ bool parseCount(std::string_view Text, uint64_t Max, uint64_t &Out);
 
 /// The numeric command-line flag parser every tool shares: true when
 /// \p Arg is \p Prefix (e.g. "--threads=") followed by a parseCount
-/// value that fits \p Out's type.
+/// value that fits \p Out's type and is at most \p Max.
 template <typename T>
-bool parseFlag(std::string_view Arg, std::string_view Prefix, T &Out) {
+bool parseFlag(std::string_view Arg, std::string_view Prefix, T &Out,
+               uint64_t Max = std::numeric_limits<T>::max()) {
   static_assert(std::is_unsigned_v<T>, "count flags are unsigned");
   uint64_t Value;
   if (Arg.substr(0, Prefix.size()) != Prefix ||
-      !parseCount(Arg.substr(Prefix.size()), std::numeric_limits<T>::max(),
+      !parseCount(Arg.substr(Prefix.size()),
+                  std::min<uint64_t>(Max, std::numeric_limits<T>::max()),
                   Value))
     return false;
   Out = static_cast<T>(Value);

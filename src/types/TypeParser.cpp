@@ -11,7 +11,7 @@ public:
   TypeParser(TypeContext &Ctx, DiagnosticEngine &Diags)
       : Ctx(Ctx), Diags(Diags) {}
 
-  const Type *parse(const Sexp &Datum) {
+  const Type *parse(SexpRef Datum) {
     if (Datum.isSymbol())
       return parseName(Datum);
     if (Datum.isList())
@@ -23,42 +23,46 @@ public:
 private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
-  std::vector<std::string> RecVars; // innermost binder last
+  std::vector<Sym> RecVars; // innermost binder last
 
-  const Type *parseName(const Sexp &Datum) {
-    const std::string &Name = Datum.symbol();
-    if (Name == "Dyn")
+  const Type *parseName(SexpRef Datum) {
+    switch (Datum.sym()) {
+    case Sym::DynType:
       return Ctx.dyn();
-    if (Name == "Unit")
+    case Sym::UnitType:
       return Ctx.unit();
-    if (Name == "Bool")
+    case Sym::BoolType:
       return Ctx.boolean();
-    if (Name == "Int")
+    case Sym::IntType:
       return Ctx.integer();
-    if (Name == "Char")
+    case Sym::CharType:
       return Ctx.character();
-    if (Name == "Float")
+    case Sym::FloatType:
       return Ctx.floating();
+    default:
+      break;
+    }
     // A Rec-bound variable: innermost binder has de Bruijn index 0.
     for (size_t I = RecVars.size(); I-- > 0;)
-      if (RecVars[I] == Name)
+      if (RecVars[I] == Datum.sym())
         return Ctx.var(static_cast<uint32_t>(RecVars.size() - 1 - I));
-    Diags.error(Datum.loc(), "unknown type name '" + Name + "'");
+    Diags.error(Datum.loc(),
+                "unknown type name '" + std::string(Datum.symbol()) + "'");
     return nullptr;
   }
 
-  const Type *parseList(const Sexp &Datum) {
-    const auto &Elements = Datum.elements();
-    if (Elements.empty())
+  const Type *parseList(SexpRef Datum) {
+    size_t Size = Datum.size();
+    if (Size == 0)
       return Ctx.unit(); // `()` — the Unit type, as in `-> ()`.
     // Function types contain a `->` in the second-to-last position.
-    if (Elements.size() >= 2 && Elements[Elements.size() - 2].isSymbol("->"))
+    if (Size >= 2 && Datum[Size - 2].isSymbol(Sym::Arrow))
       return parseFunction(Datum);
-    const Sexp &Head = Elements[0];
-    if (Head.isSymbol("Tuple")) {
+    SexpRef Head = Datum[0];
+    if (Head.isSymbol(Sym::TupleType)) {
       std::vector<const Type *> Members;
-      for (size_t I = 1; I != Elements.size(); ++I) {
-        const Type *T = parse(Elements[I]);
+      for (size_t I = 1; I != Size; ++I) {
+        const Type *T = parse(Datum[I]);
         if (!T)
           return nullptr;
         Members.push_back(T);
@@ -69,24 +73,25 @@ private:
       }
       return Ctx.tuple(std::move(Members));
     }
-    if (Head.isSymbol("Ref") || Head.isSymbol("Vect")) {
-      if (Elements.size() != 2) {
-        Diags.error(Datum.loc(),
-                    Head.symbol() + " type takes exactly one element type");
+    if (Head.isSymbol(Sym::RefType) || Head.isSymbol(Sym::VectType)) {
+      if (Size != 2) {
+        Diags.error(Datum.loc(), std::string(Head.symbol()) +
+                                     " type takes exactly one element type");
         return nullptr;
       }
-      const Type *Element = parse(Elements[1]);
+      const Type *Element = parse(Datum[1]);
       if (!Element)
         return nullptr;
-      return Head.isSymbol("Ref") ? Ctx.box(Element) : Ctx.vect(Element);
+      return Head.isSymbol(Sym::RefType) ? Ctx.box(Element)
+                                         : Ctx.vect(Element);
     }
-    if (Head.isSymbol("Rec")) {
-      if (Elements.size() != 3 || !Elements[1].isSymbol()) {
+    if (Head.isSymbol(Sym::RecType)) {
+      if (Size != 3 || !Datum[1].isSymbol()) {
         Diags.error(Datum.loc(), "expected (Rec x T)");
         return nullptr;
       }
-      RecVars.push_back(Elements[1].symbol());
-      const Type *Body = parse(Elements[2]);
+      RecVars.push_back(Datum[1].sym());
+      const Type *Body = parse(Datum[2]);
       RecVars.pop_back();
       if (!Body)
         return nullptr;
@@ -96,16 +101,15 @@ private:
     return nullptr;
   }
 
-  const Type *parseFunction(const Sexp &Datum) {
-    const auto &Elements = Datum.elements();
+  const Type *parseFunction(SexpRef Datum) {
     std::vector<const Type *> Params;
-    for (size_t I = 0; I + 2 < Elements.size(); ++I) {
-      const Type *P = parse(Elements[I]);
+    for (size_t I = 0; I + 2 < Datum.size(); ++I) {
+      const Type *P = parse(Datum[I]);
       if (!P)
         return nullptr;
       Params.push_back(P);
     }
-    const Type *Result = parse(Elements.back());
+    const Type *Result = parse(Datum[Datum.size() - 1]);
     if (!Result)
       return nullptr;
     return Ctx.function(std::move(Params), Result);
@@ -114,7 +118,7 @@ private:
 
 } // namespace
 
-const Type *grift::parseType(TypeContext &Ctx, const Sexp &Datum,
+const Type *grift::parseType(TypeContext &Ctx, SexpRef Datum,
                              DiagnosticEngine &Diags) {
   return TypeParser(Ctx, Diags).parse(Datum);
 }

@@ -18,8 +18,7 @@ namespace grift {
 
 /// Parses \p Datum as a type. Returns nullptr and reports a diagnostic on
 /// malformed syntax (including unbound Rec variables).
-const Type *parseType(TypeContext &Ctx, const Sexp &Datum,
-                      DiagnosticEngine &Diags);
+const Type *parseType(TypeContext &Ctx, SexpRef Datum, DiagnosticEngine &Diags);
 
 } // namespace grift
 

@@ -11,7 +11,9 @@
 using namespace grift;
 
 namespace {
-constexpr size_t InitialStack = 1u << 16;
+/// The value stack starts small and doubles on demand (push, ensureStack):
+/// a fresh VM pays for an 8 KiB stack, not for its deepest possible run.
+constexpr size_t InitialStack = 1u << 10;
 constexpr size_t MaxStackEntries = 1u << 26; // 64M values ≈ 512 MB
 constexpr size_t DefaultMaxFrames = 4u << 20;
 /// Fuel/wall budgets are checked once per this many dispatched

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 #include "frontend/Parser.h"
 #include "frontend/TypeChecker.h"
+#include "sexp/Sexp.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
@@ -362,6 +363,20 @@ TEST_F(FrontendTest, KeywordsRejectedAsVariables) {
   parseFails("(let ([define 1]) define)");
   parseFails("(+ if 1)");
   parseFails("(lambda (lambda) 1)");
+  // Every reserved word of sexp/Symbols.def, as a variable and as a
+  // parameter; a near miss, and the type syntax, are ordinary names.
+  ASSERT_EQ(NumKeywords, 25u);
+  for (uint32_t I = 0; I != NumKeywords; ++I) {
+    std::string Keyword(fixedSpelling(static_cast<Sym>(I)));
+    parseFails("(+ " + Keyword + " 1)");
+    parseFails("(lambda (" + Keyword + ") 1)");
+    for (const char *Suffix : {"2", "*"}) {
+      std::string Near = Keyword + Suffix;
+      parseOk("(let ([" + Near + " 1]) " + Near + ")");
+      parseOk("(lambda (" + Near + ") " + Near + ")");
+    }
+  }
+  parseOk("(let ([-> 1] [Tuple 2]) (+ -> Tuple))");
 }
 
 TEST_F(FrontendTest, DeeplyNestedTypesParse) {

@@ -10,6 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 #include "service/ExecService.h"
+#include "support/StringUtil.h"
 
 #include "refinterp/RefInterp.h"
 
@@ -66,6 +67,24 @@ TEST(ServicePool, RunsManyJobsAcrossThreads) {
   EXPECT_EQ(S.JobsSubmitted, 64u);
   EXPECT_EQ(S.JobsCompleted, 64u);
   EXPECT_EQ(S.JobsRejected, 0u);
+}
+
+TEST(ServicePool, WorkerCountIsCapped) {
+  // Configs only: no service (and no thread) is started here.
+  ServiceConfig C;
+  C.Threads = 3;
+  EXPECT_EQ(C.workerCount(), 3u);
+  C.Threads = 100000;
+  EXPECT_EQ(C.workerCount(), ServiceConfig::MaxThreads);
+  C.Threads = 0;
+  EXPECT_GE(C.workerCount(), 1u);
+  EXPECT_LE(C.workerCount(), ServiceConfig::MaxThreads);
+  // griftd parses --threads with the same ceiling.
+  EXPECT_TRUE(parseFlag("--threads=256", "--threads=", C.Threads,
+                        ServiceConfig::MaxThreads));
+  EXPECT_FALSE(parseFlag("--threads=257", "--threads=", C.Threads,
+                         ServiceConfig::MaxThreads));
+  EXPECT_EQ(C.Threads, 256u);
 }
 
 TEST(ServicePool, CompileErrorsAreReportedNotCrashes) {

@@ -8,13 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace grift;
 
 namespace {
 
-std::vector<Sexp> readOk(std::string_view Source) {
+SexpDocument readOk(std::string_view Source) {
   DiagnosticEngine Diags;
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpDocument Data = readSexps(Source, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return Data;
 }
@@ -34,20 +36,33 @@ TEST(Reader, EmptyInput) {
 }
 
 TEST(Reader, Integers) {
-  auto Data = readOk("42 -7 0");
-  ASSERT_EQ(Data.size(), 3u);
+  // Exactly what strtoll accepts whole: one optional sign, leading zeros.
+  auto Data = readOk("42 -7 0 +5 -000 -9223372036854775808");
+  ASSERT_EQ(Data.size(), 6u);
   EXPECT_EQ(Data[0].intValue(), 42);
   EXPECT_EQ(Data[1].intValue(), -7);
   EXPECT_EQ(Data[2].intValue(), 0);
+  EXPECT_EQ(Data[3].intValue(), 5);
+  EXPECT_EQ(Data[4].intValue(), 0);
+  EXPECT_EQ(Data[5].intValue(), std::numeric_limits<int64_t>::min());
+  for (size_t I = 0; I != Data.size(); ++I)
+    EXPECT_EQ(Data[I].kind(), SexpKind::Int) << I;
 }
 
 TEST(Reader, Floats) {
-  auto Data = readOk("3.5 -0.25 1e3 2.");
-  ASSERT_EQ(Data.size(), 4u);
+  // What strtod accepts whole, short of overflow: an integer too wide for
+  // int64, hex (strtoll stops at the 'x'), and denormals.
+  auto Data = readOk("3.5 -0.25 1e3 2. 9223372036854775808 0x10 5e-324");
+  ASSERT_EQ(Data.size(), 7u);
+  for (size_t I = 0; I != Data.size(); ++I)
+    ASSERT_EQ(Data[I].kind(), SexpKind::Float) << I;
   EXPECT_DOUBLE_EQ(Data[0].floatValue(), 3.5);
   EXPECT_DOUBLE_EQ(Data[1].floatValue(), -0.25);
   EXPECT_DOUBLE_EQ(Data[2].floatValue(), 1000.0);
   EXPECT_DOUBLE_EQ(Data[3].floatValue(), 2.0);
+  EXPECT_DOUBLE_EQ(Data[4].floatValue(), 9223372036854775808.0);
+  EXPECT_DOUBLE_EQ(Data[5].floatValue(), 16.0);
+  EXPECT_EQ(Data[6].floatValue(), std::numeric_limits<double>::denorm_min());
 }
 
 TEST(Reader, Booleans) {
@@ -67,14 +82,26 @@ TEST(Reader, Characters) {
 }
 
 TEST(Reader, Symbols) {
-  auto Data = readOk("vector-ref fl+ -> even? - ...");
-  ASSERT_EQ(Data.size(), 6u);
-  EXPECT_EQ(Data[0].symbol(), "vector-ref");
-  EXPECT_EQ(Data[1].symbol(), "fl+");
-  EXPECT_EQ(Data[2].symbol(), "->");
-  EXPECT_EQ(Data[3].symbol(), "even?");
-  EXPECT_EQ(Data[4].symbol(), "-");
-  EXPECT_EQ(Data[5].symbol(), "...");
+  // Read from a temporary: the data must not point into the source. An
+  // atom that overflows a double, or that strtod accepts only in part
+  // (or without a digit), is a symbol.
+  auto Data = readOk(
+      std::string("vector-ref fl+ -> even? - ... 1e400 +inf.0 -nan.0 inf 1/2"));
+  ASSERT_EQ(Data.size(), 11u);
+  const char *Expected[] = {"vector-ref", "fl+", "->",     "even?",
+                            "-",          "...", "1e400",  "+inf.0",
+                            "-nan.0",     "inf", "1/2"};
+  for (size_t I = 0; I != Data.size(); ++I) {
+    ASSERT_TRUE(Data[I].isSymbol()) << Expected[I];
+    EXPECT_EQ(Data[I].symbol(), Expected[I]);
+  }
+  // One id per spelling; the spellings of Symbols.def have fixed ids.
+  auto Ids = readOk("f g f Tuple tuple");
+  EXPECT_EQ(Ids[0].sym(), Ids[2].sym());
+  EXPECT_NE(Ids[0].sym(), Ids[1].sym());
+  EXPECT_GE(Ids[0].sym(), Sym::FirstInterned);
+  EXPECT_EQ(Ids[3].sym(), Sym::TupleType);
+  EXPECT_EQ(Ids[4].sym(), Sym::Tuple);
 }
 
 TEST(Reader, Strings) {
@@ -88,19 +115,19 @@ TEST(Reader, Strings) {
 TEST(Reader, NestedLists) {
   auto Data = readOk("(define (f [x : Int]) : Int (+ x 1))");
   ASSERT_EQ(Data.size(), 1u);
-  const Sexp &Define = Data[0];
+  SexpRef Define = Data[0];
   ASSERT_TRUE(Define.isList());
   ASSERT_EQ(Define.size(), 5u);
-  EXPECT_TRUE(Define[0].isSymbol("define"));
+  EXPECT_TRUE(Define[0].isSymbol(Sym::Define));
   EXPECT_TRUE(Define[1].isList());
   EXPECT_TRUE(Define[1][1].isList());
-  EXPECT_TRUE(Define[1][1][0].isSymbol("x"));
+  EXPECT_EQ(Define[1][1][0].symbol(), "x");
 }
 
 TEST(Reader, BracketsAreParens) {
   auto Data = readOk("[let ([x 1]) x]");
   ASSERT_EQ(Data.size(), 1u);
-  EXPECT_TRUE(Data[0][0].isSymbol("let"));
+  EXPECT_TRUE(Data[0][0].isSymbol(Sym::Let));
 }
 
 TEST(Reader, MismatchedBracketFails) {

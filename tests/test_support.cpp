@@ -180,6 +180,12 @@ TEST(FlagParser, DestinationWidthBoundsTheValue) {
   EXPECT_EQ(Threads, 3u);
   EXPECT_TRUE(parseFlag("--threads=8", "--threads=", Threads));
   EXPECT_EQ(Threads, 8u);
+  // An explicit ceiling below the type's width (griftd's --threads).
+  EXPECT_TRUE(parseFlag("--threads=256", "--threads=", Threads, 256));
+  EXPECT_EQ(Threads, 256u);
+  EXPECT_FALSE(parseFlag("--threads=257", "--threads=", Threads, 256));
+  EXPECT_FALSE(parseFlag("--threads=1k", "--threads=", Threads, 256));
+  EXPECT_EQ(Threads, 256u);
 
   uint16_t Port = 0;
   EXPECT_TRUE(parseFlag("--port=65535", "--port=", Port));

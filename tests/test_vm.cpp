@@ -180,6 +180,45 @@ TEST_F(VMTest, TailCallsRunDeep) {
                "1000000");
 }
 
+TEST_F(VMTest, ValueStackGrowsUnderProxiedDeepRecursion) {
+  // The value stack starts at 1K slots and doubles on demand. Each of the
+  // 20000 pending calls below keeps at least its callee and argument
+  // slots, so the run grows the stack through at least five doublings,
+  // with a minor collection forced every 97th allocation or cast, so
+  // collections rescan and rewrite a stack that has moved. The define's
+  // annotation proxies the Dyn-typed function: every recursive call goes
+  // through the proxy and leaves a pending return cast. Static mode
+  // refuses Dyn, so it runs the fully typed twin.
+  const char *Proxied = "(define sum : (Int -> Int)"
+                        "  (lambda ([n : Dyn]) : Dyn"
+                        "    (if (= n 0) 0 (+ n (sum (- n 1))))))"
+                        "(sum 20000)";
+  const char *Typed = "(define sum : (Int -> Int)"
+                      "  (lambda ([n : Int]) : Int"
+                      "    (if (= n 0) 0 (+ n (sum (- n 1))))))"
+                      "(sum 20000)";
+  for (CastMode Mode : AllCastModes) {
+    std::string Errors;
+    auto Exe = G.compile(Mode == CastMode::Static ? Typed : Proxied, Mode,
+                         Errors);
+    ASSERT_TRUE(Exe.has_value()) << castModeName(Mode) << ": " << Errors;
+    for (size_t Nursery : {RunLimits().GCNurseryBytes, size_t(0)}) {
+      RunLimits Limits;
+      Limits.GCNurseryBytes = Nursery;
+      FaultInjector Injector;
+      Injector.MinorGCTorturePeriod = 97;
+      RunResult R = Exe->run("", Limits, &Injector);
+      ASSERT_TRUE(R.OK) << castModeName(Mode) << " nursery " << Nursery
+                        << ": " << R.Error.str();
+      EXPECT_EQ(R.ResultText, "200010000") // 20000 * 20001 / 2
+          << castModeName(Mode) << " nursery " << Nursery;
+      if (Mode != CastMode::Static) {
+        EXPECT_GE(R.Stats.CastsApplied, 20000u) << castModeName(Mode);
+      }
+    }
+  }
+}
+
 TEST_F(VMTest, RepeatLoop) {
   expectResult("(repeat (i 0 10) (acc : Int 0) (+ acc i))", "45");
   expectResult("(repeat (i 0 0) (acc : Int 7) (+ acc 1))", "7");

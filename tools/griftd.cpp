@@ -309,7 +309,8 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (parseFlag(Arg, "--threads=", Exec.Threads) ||
+    if (parseFlag(Arg, "--threads=", Exec.Threads,
+                  ServiceConfig::MaxThreads) ||
         parseFlag(Arg, "--retries=", Exec.Retry.MaxRetries) ||
         parseFlag(Arg, "--breaker-threshold=",
                   Exec.Breaker.FailureThreshold) ||
